@@ -202,19 +202,6 @@ def _parse_complex(text: str, flag: str) -> complex:
         raise ConfigError(f"{flag} must be a complex literal, got {text!r}") from exc
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("GF_SIM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"GF_SIM_THREADS must be an integer, got {raw!r}") from exc
-    if threads < 1:
-        raise ConfigError(f"GF_SIM_THREADS must be >= 1, got {threads}")
-    return threads
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gfsim",
@@ -562,14 +549,13 @@ def cmd_dissipation(exp: ResolvedExperiment) -> int:
             else exp.preset.get("samples", 200)
         if samples < 1:
             raise ConfigError(f"--samples must be >= 1, got {samples}")
-    threads = _threads_from_env()
 
     multi = len(pairs) > 1
     columns = ["gamma_over_J", "mean_fidelity", "stderr", "samples", "t_star"]
     for m, n in pairs:
         plan, notes = _capture_plan(cfg, m, n)
         curve = average_transfer_fidelity(plan, grid, samples, exp.args.seed,
-                                          states=states, threads=threads)
+                                          states=states)
         meta = _base_metadata(exp)
         if notes:
             meta["warnings"] = notes

@@ -205,7 +205,10 @@ def switching_frequencies(base: float, m: int, n: int, n_sites: int) -> np.ndarr
 
     omega_k = base + (k-1) - (k-1)^2/(m+n-2). The profile is symmetric about
     k = (m+n)/2, so omega_m == omega_n exactly; neighbouring detunings are
-    of order unity, which keeps weak bonds (J << 1) perturbative.
+    of order unity, which keeps weak bonds (J << 1) perturbative. It is
+    evaluated as base + k(s-k)/s with k = 0-based index and s = m+n-2: at
+    k = m-1 and k = n-1 the integer product k(s-k) is the same, so the two
+    frequencies are bitwise equal, not merely equal to rounding.
     """
     for name, val in (("m", m), ("n", n), ("n_sites", n_sites)):
         if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
@@ -224,7 +227,8 @@ def switching_frequencies(base: float, m: int, n: int, n_sites: int) -> np.ndarr
     if not math.isfinite(base) or base <= 0.0:
         raise ConfigError(f"base frequency must be > 0, got {base!r}")
     k = np.arange(int(n_sites), dtype=float)  # k-1 in the formula, 0-based here
-    return base + k - k * k / float(m + n - 2)
+    s = float(m + n - 2)
+    return base + k * (s - k) / s
 
 
 # JSON config schema. "frequencies" is either an explicit list or a preset

@@ -11,9 +11,11 @@ and the gamma = 0 limit pin it in the tests.
 Integration is classical fixed-step RK4. For a linear time-independent
 equation one RK4 step is the constant linear map
 M = 1 + A + A^2/2 + A^3/6 + A^4/24 with A = dt*L (the four-stage form
-telescopes to exactly this), so n steps are M^n. Short runs apply M step by
-step; long runs compute M^n blockwise by binary exponentiation, which is the
-same map evaluated in fewer multiplications, not a different integrator.
+telescopes to exactly this), so k steps are M^k, which every run computes
+blockwise with np.linalg.matrix_power: the same map evaluated in fewer
+multiplications, not a different integrator. The full generator is
+trace-free, so M keeps the trace exactly and the vacuum population after k
+steps is rho00(0) + tr rho_ss(0) - tr rho_ss(k), the RK4 value itself.
 Every run can be verified by step halving, and subspace invariants (trace,
 Hermiticity, positivity) are checked at checkpoints throughout.
 
@@ -26,7 +28,6 @@ integrator is the independent oracle the tests tie it to.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +53,6 @@ _TRACE_TOL = 1e-8
 _HERM_TOL = 1e-10
 _POS_TOL = 1e-8
 _STEP_AGREEMENT = 1e-8
-# Beyond this many steps the stepper switches from the explicit loop to
-# powering the step operator (identical map, fewer multiplications).
-_SEQUENTIAL_LIMIT = 400_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,43 +145,35 @@ def lindblad_rhs(rho, hamiltonian, gamma: float) -> np.ndarray:
     return out
 
 
-def _rk4_polynomials(a: np.ndarray):
-    """M = 1 + A + A^2/2 + A^3/6 + A^4/24 and phi = 1 + A/2 + A^2/6 + A^3/24.
-
-    M is one classical RK4 step for x' = Lx with A = dt*L; phi enters the
-    quadrature row that feeds the vacuum population within the same step.
-    """
+def _rk4_step_matrix(a: np.ndarray) -> np.ndarray:
+    """M = 1 + A + A^2/2 + A^3/6 + A^4/24: one classical RK4 step for
+    x' = Lx with A = dt*L."""
     eye = np.eye(a.shape[0], dtype=complex)
     a2 = a @ a
     a3 = a2 @ a
-    m = eye + a + a2 / 2.0 + a3 / 6.0 + (a3 @ a) / 24.0
-    phi = eye + a / 2.0 + a2 / 6.0 + a3 / 24.0
-    return m, phi
+    return eye + a + a2 / 2.0 + a3 / 6.0 + (a3 @ a) / 24.0
 
 
 class _Stepper:
-    """One RK4 step of the subspace-reduced Lindblad equation, in blocks.
+    """RK4 steps of the subspace-reduced Lindblad equation, in blocks.
 
     State layout: (rho00 scalar, vacuum-site row v (length N), vec of the
-    N x N site-site block). The equation is block triangular, so the step
-    operator acts as independent small matrices plus one quadrature row
-    feeding rho00; applying them reproduces the full-space RK4 step to
-    rounding (asserted in the tests).
+    N x N site-site block). The equation is block triangular: v and the
+    site block each evolve under their own step matrix, powered to the step
+    count. The full generator is trace-free, so the full RK4 map keeps the
+    trace exactly and rho00 is whatever the site block lost; this
+    reproduces the full-space RK4 steps to rounding (asserted in the tests).
     """
 
     def __init__(self, h: np.ndarray, gamma: float, dt: float):
         n = h.shape[0]
         self.n = n
-        self.dt = float(dt)
         eye_n = np.eye(n, dtype=complex)
         # site-site generator on row-major vec: -i(H ox 1 - 1 ox H^T) - gamma
         l_ss = -1j * (np.kron(h, eye_n) - np.kron(eye_n, h.T)) - gamma * np.eye(n * n)
-        self.m_ss, phi = _rk4_polynomials(dt * l_ss)
-        trace_row = np.eye(n, dtype=complex).reshape(-1)
-        self.feed_row = gamma * dt * (trace_row @ phi)  # rho00 gain per step
+        self.m_ss = _rk4_step_matrix(dt * l_ss)
         # vacuum-site column form: dv/dt = i H^T v - gamma/2 v
-        l_v = 1j * h.T - 0.5 * gamma * eye_n
-        self.m_v, _ = _rk4_polynomials(dt * l_v)
+        self.m_v = _rk4_step_matrix(dt * (1j * h.T - 0.5 * gamma * eye_n))
 
     def split(self, rho: np.ndarray):
         return (
@@ -201,39 +191,12 @@ class _Stepper:
         rho[1:, 1:] = ss_vec.reshape(n, n)
         return rho
 
-    def step(self, rho00, v, ss_vec):
-        new00 = rho00 + self.feed_row @ ss_vec
-        return new00, self.m_v @ v, self.m_ss @ ss_vec
-
-    def power(self, n_steps: int):
-        """(M_ss^n, sum_{k<n} M_ss^k, M_v^n) by binary doubling."""
-        dim = self.m_ss.shape[0]
-        p_ss = np.eye(dim, dtype=complex)
-        s_ss = np.zeros((dim, dim), dtype=complex)
-        p_v = np.eye(self.n, dtype=complex)
-        base_ss, base_v = self.m_ss, self.m_v
-        base_s = np.eye(dim, dtype=complex)  # geometric sum for base^1
-        k = n_steps
-        while k:
-            if k & 1:
-                s_ss = s_ss + p_ss @ base_s
-                p_ss = base_ss @ p_ss
-                p_v = base_v @ p_v
-            k >>= 1
-            if k:
-                base_s = base_s + base_ss @ base_s
-                base_ss = base_ss @ base_ss
-                base_v = base_v @ base_v
-        return p_ss, s_ss, p_v
-
     def advance(self, rho00, v, ss_vec, n_steps: int):
-        """State after n_steps, looping or powering depending on count."""
-        if n_steps <= _SEQUENTIAL_LIMIT:
-            for _ in range(n_steps):
-                rho00, v, ss_vec = self.step(rho00, v, ss_vec)
-            return rho00, v, ss_vec
-        p_ss, s_ss, p_v = self.power(n_steps)
-        return rho00 + self.feed_row @ (s_ss @ ss_vec), p_v @ v, p_ss @ ss_vec
+        """State after n_steps RK4 steps."""
+        new_ss = np.linalg.matrix_power(self.m_ss, n_steps) @ ss_vec
+        diag = slice(None, None, self.n + 1)
+        new00 = rho00 + ss_vec[diag].sum() - new_ss[diag].sum()
+        return new00, np.linalg.matrix_power(self.m_v, n_steps) @ v, new_ss
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,7 +265,6 @@ def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
 
     times = []
     states = []
-    herm_worst = 0.0
     prev = 0
     cur = start
     for count in _checkpoint_counts(n_steps, checkpoints):
@@ -311,7 +273,6 @@ def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
         t_here = count * dt_eff
         full = stepper.join(*cur)
         herm = float(np.max(np.abs(full - full.conj().T)))
-        herm_worst = max(herm_worst, herm)
         if herm > _HERM_TOL:
             raise NumericalInvariantError(
                 f"Hermiticity defect {herm:.3e} exceeds {_HERM_TOL:.0e} at "
@@ -397,7 +358,7 @@ class FidelityCurve:
 
 
 def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, samples: int,
-                              seed, *, states=None, threads: int = 1) -> FidelityCurve:
+                              seed, *, states=None) -> FidelityCurve:
     """Mean transfer fidelity at t = plan.transfer_time versus gamma/J.
 
     For each decay rate, every sampled superposition alpha|vac> + beta|m>
@@ -415,8 +376,7 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, samples: int,
         |alpha|^2 rho00 + 2|alpha|^2|beta|^2 e^{-gamma t*/2} Re a
         + |beta|^4 e^{-gamma t*} |a|^2,  rho00 = |alpha|^2 + |beta|^2 (1 - e^{-gamma t*}),
     so no step size or horizon enters. integrate_master is the independent
-    oracle the tests hold this against. `threads` > 1 scores the cells on a
-    thread pool; results are identical for any thread count.
+    oracle the tests hold this against.
 
     Returns the per-cell mean and standard error of the sample mean.
     """
@@ -436,8 +396,6 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, samples: int,
         if np.max(np.abs(norms - 1.0)) > 1e-10:
             raise ConfigError("states must be normalized qubit amplitudes")
     n_samp = alpha.shape[0]
-    if samples != n_samp:
-        samples = n_samp
 
     t_star = plan.transfer_time
     spec = decompose(build_hamiltonian(plan_config(plan)))
@@ -456,12 +414,7 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, samples: int,
         err = 0.0 if n_samp < 2 else float(np.std(fids, ddof=1) / math.sqrt(n_samp))
         return mean, err
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            results = list(pool.map(score_cell, gammas.tolist()))
-    else:
-        results = [score_cell(g) for g in gammas.tolist()]
-
+    results = [score_cell(g) for g in gammas.tolist()]
     means = np.array([r[0] for r in results])
     errs = np.array([r[1] for r in results])
-    return FidelityCurve(gammas, means, errs, samples, t_star, seed, True)
+    return FidelityCurve(gammas, means, errs, n_samp, t_star, seed, True)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import gfsim
 from gfsim.cli import main
 from gfsim.model import config_from_dict
 
@@ -216,23 +217,15 @@ def test_eta_override_changes_qubit_outcome(tmp_path):
     assert right["fidelity_at_transfer_time"] > 0.99
 
 
-def test_threads_env_does_not_change_output(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["dissipation", "--preset", "fig5", "-m", "2", "-n", "5",
-            "--seed", "11", "--samples", "8", "--grid", "0.01:1:3"]
-    run_cli(args + ["--out", str(a)])
-    monkeypatch.setenv("GF_SIM_THREADS", "4")
-    run_cli(args + ["--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
-    monkeypatch.setenv("GF_SIM_THREADS", "zero")
-    assert run_cli(args + ["--out", str(b)]) == 2
-
-
 def test_console_entry_point_subprocess(tmp_path):
-    # end-to-end through the real interpreter once
+    # end-to-end through the real interpreter once, on the package this
+    # test imported (pytest's pythonpath does not reach a child process)
+    package_root = os.path.dirname(os.path.dirname(gfsim.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "gfsim", "spectrum", "--preset", "fig2"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     lines = result.stdout.strip().splitlines()
     assert lines[0].startswith("# ")

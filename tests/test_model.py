@@ -129,6 +129,15 @@ def test_switching_profile_degeneracy_and_curvature():
         assert second[0] < 0  # inverted parabola
 
 
+def test_switching_profile_pair_is_bitwise_degenerate():
+    # the docstring promises omega_m == omega_n exactly, not to rounding
+    for size in range(2, 21):
+        for m in range(1, size + 1):
+            for n in range(m + 1, size + 1):
+                freqs = switching_frequencies(1.0, m, n, size)
+                assert freqs[m - 1] == freqs[n - 1], (size, m, n)
+
+
 def test_switching_profile_order_independent():
     np.testing.assert_allclose(switching_frequencies(1.0, 5, 2, 6),
                                switching_frequencies(1.0, 2, 5, 6), rtol=1e-15)

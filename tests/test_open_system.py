@@ -126,7 +126,7 @@ def test_stepper_reproduces_classical_rk4_stage_sums():
     explicit = rho + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
     stepper = _Stepper(h.matrix, gamma, dt)
-    ours = stepper.join(*stepper.step(*stepper.split(rho)))
+    ours = stepper.join(*stepper.advance(*stepper.split(rho), 1))
     assert np.max(np.abs(ours - explicit)) <= 1e-14
 
 
@@ -138,7 +138,7 @@ def test_stepper_power_equals_repeated_steps():
     r00, v, ss = stepper.split(rho)
     loop00, loopv, loopss = r00, v, ss
     for _ in range(1000):
-        loop00, loopv, loopss = stepper.step(loop00, loopv, loopss)
+        loop00, loopv, loopss = stepper.advance(loop00, loopv, loopss, 1)
     pow00, powv, powss = stepper.advance(r00, v, ss, 1000)
     assert abs(loop00 - pow00) <= 1e-12
     assert np.max(np.abs(loopv - powv)) <= 1e-12
@@ -162,14 +162,18 @@ def test_single_mode_decay_closed_form():
         assert got[0, 1] == pytest.approx(coh, abs=1e-8)
 
 
-def test_integrator_matches_factorized_oracle():
+@pytest.mark.parametrize("checkpoints", [1, 16])
+def test_integrator_matches_factorized_oracle(checkpoints):
+    # one powered segment or sixteen: cutting a run at checkpoints must not
+    # change where it lands
     cfg = ArrayConfig(6, switching_frequencies(1.0, 1, 3, 6), 0.0013)
     h = build_hamiltonian(cfg)
     spec = decompose(h)
     psi0 = single_photon_state(6, 1)
     rho0 = DensityMatrix.from_state(psi0)
     gamma, t_end = 0.02, 50.0
-    run = integrate_master(rho0, h, gamma, t_end, 1e-3)
+    run = integrate_master(rho0, h, gamma, t_end, 1e-3, checkpoints=checkpoints)
+    assert len(run.states) == checkpoints
     oracle = lossy_pure_state_oracle(psi0, spec, gamma, t_end)
     assert np.max(np.abs(run.final.matrix - oracle)) <= 1e-8
     assert run.converged and run.step_defect <= 1e-8
@@ -334,12 +338,6 @@ class TestAveragedFidelityStudy:
                                       curve_13.mean_fidelity)
         np.testing.assert_array_equal(again.stderr, curve_13.stderr)
 
-    def test_threads_do_not_change_results(self, plan_13, curve_13):
-        threaded = average_transfer_fidelity(plan_13, self.GRID, 60, 20260823,
-                                             threads=3)
-        np.testing.assert_array_equal(threaded.mean_fidelity,
-                                      curve_13.mean_fidelity)
-
     def test_frozen_endpoints_for_study_seed(self, plan_13):
         # 200 Haar samples, seed 20260823: values pinned from the first
         # validated run of this code
@@ -390,8 +388,7 @@ def test_exact_loss_path_matches_integrator_oracle():
         fids = []
         for alpha, beta in zip(alphas, betas):
             rho0 = DensityMatrix.from_state(qubit_state(4, 1, alpha, beta))
-            run = integrate_master(rho0, h, g_over_j * j, plan.transfer_time,
-                                   2e-3, checkpoints=1)
+            run = integrate_master(rho0, h, g_over_j * j, plan.transfer_time, 2e-3)
             assert run.converged
             fids.append(state_fidelity(run.final, qubit_state(4, 3, alpha, beta)))
         assert mean == pytest.approx(np.mean(fids), abs=2e-8)   # measured ~1e-11

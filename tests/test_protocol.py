@@ -39,15 +39,15 @@ FROZEN_PLANS = {
     (1, 3): dict(theta=4.7799556757411613e-06, transfer_time=328621.52566955238,
                  mean=0.99999662008567986, sign=-1,
                  purity=0.99997917433117793, peak=0.99997746786123253),
-    (1, 4): dict(theta=1.2108325064326393e-08, transfer_time=129728622.12155044,
+    (1, 4): dict(theta=1.2108325064326402e-08, transfer_time=129728622.12155035,
                  mean=0.99999746499036131, sign=1,
                  purity=0.99999045740870125, peak=0.99998098754049577),
     (2, 4): dict(theta=1.655656117744753e-05, transfer_time=94874.552146405383,
                  mean=1.7499887353012293, sign=-1,
                  purity=0.99985870411882506, peak=0.99984983270905667),
-    (2, 5): dict(theta=6.7266455801030818e-08, transfer_time=23351852.094618981,
-                 mean=1.799993662349418, sign=1,
-                 purity=0.99995998811911034, peak=0.9999205344555213),
+    (2, 5): dict(theta=6.7266455800975625e-08, transfer_time=23351852.094638142,
+                 mean=1.7999936623494181, sign=1,
+                 purity=0.99995998811953393, peak=0.99992053445716331),
 }
 # Same recipe for (1, 5), the low-purity pair.
 PURITY_15 = 0.9693122434591746
