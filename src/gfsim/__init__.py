@@ -37,6 +37,7 @@ from .dynamics import (
     qubit_state,
     single_photon_state,
     site_probabilities,
+    transfer_amplitude,
     transfer_probability,
 )
 from .analytics import (
@@ -73,7 +74,7 @@ __all__ = [
     "switching_frequencies", "config_from_dict", "config_to_dict", "wrap_phase",
     "ExcitationState", "SpectralDecomposition", "decompose", "evolve",
     "single_photon_state", "qubit_state", "site_probabilities",
-    "transfer_probability",
+    "transfer_amplitude", "transfer_probability",
     "TruncatedCoherentProfile", "regularized_upper_tail",
     "truncated_coherent_amplitudes",
     "TransferPlan", "DoubletPurityWarning", "identify_doublet", "make_plan",

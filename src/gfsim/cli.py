@@ -35,7 +35,37 @@ from .model import ArrayConfig, build_hamiltonian, config_from_dict, config_to_d
 from .open_system import average_transfer_fidelity, reference_qubit_states
 from .protocol import make_plan, qubit_fidelity_curve
 
-_COMMANDS = ("spectrum", "resonant-walk", "plan", "transfer", "qubit", "dissipation")
+# Flags beyond --config/--preset/--out/--format; each subcommand takes only
+# the ones its handler reads, so argparse refuses the rest.
+_FLAGS = {
+    "source": (("-m", "--source"), {"type": int, "help": "source site (1-based)"}),
+    "target": (("-n", "--target"), {"type": int, "help": "target site (1-based)"}),
+    "seed": (("--seed",), {"type": int, "help": "RNG seed"}),
+    "eta": (("--eta",), {"type": float, "help": "bond phase override in radians"}),
+    "samples": (("--samples",), {"type": int,
+                                 "help": "random qubit states per grid point"}),
+    "grid": (("--grid",), {"help": "sweep grid start:end:n (omega_1*t for time "
+                                   "sweeps, gamma/J log grid for dissipation)"}),
+    "times": (("--times",), {"help": "explicit comma-separated omega_1*t values"}),
+    "alpha": (("--alpha",), {"help": "vacuum amplitude (complex literal)"}),
+    "beta": (("--beta",), {"help": "photon amplitude (complex literal)"}),
+    "states": (("--states",), {"choices": ("haar", "fixed4"), "default": "haar",
+                               "help": "dissipation ensemble: Haar samples or "
+                                       "the four reference states"}),
+}
+
+_COMMANDS = {
+    "spectrum": ("frequency profile and eigenvalues of the array", ()),
+    "resonant-walk": ("single-photon spreading on a resonant array vs the closed form",
+                      ("grid", "times")),
+    "plan": ("design a transfer plan for a site pair", ("source", "target")),
+    "transfer": ("transfer probability curve (planned or direct sweep)",
+                 ("source", "target", "eta", "grid", "times")),
+    "qubit": ("qubit transfer fidelity curve with the closed-form comparison",
+              ("source", "target", "eta", "grid", "times", "alpha", "beta")),
+    "dissipation": ("averaged transfer fidelity vs gamma/J under uniform loss",
+                    ("source", "target", "seed", "samples", "grid", "states")),
+}
 
 # Presets pin every assumed-but-unstated parameter in one auditable place.
 # Frequencies are in units of the first cavity's resonance; time grids are
@@ -209,35 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gfsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "spectrum": "frequency profile and eigenvalues of the array",
-        "resonant-walk": "single-photon spreading on a resonant array vs the closed form",
-        "plan": "design a transfer plan for a site pair",
-        "transfer": "transfer probability curve (planned or direct sweep)",
-        "qubit": "qubit transfer fidelity curve with the closed-form comparison",
-        "dissipation": "averaged transfer fidelity vs gamma/J under uniform loss",
-    }
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name, help=descriptions[name])
+    for name, (description, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=description)
         cmd.add_argument("--config", help="path to a JSON array config")
         cmd.add_argument("--preset", choices=sorted(_PRESETS),
                          help="named parameter preset")
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-        cmd.add_argument("--seed", type=int, help="RNG seed (dissipation)")
-        cmd.add_argument("--eta", type=float,
-                         help="bond phase override in radians")
-        cmd.add_argument("--samples", type=int,
-                         help="random qubit states per grid point")
-        cmd.add_argument("--grid", help="sweep grid start:end:n "
-                         "(omega_1*t for time sweeps, gamma/J log grid for dissipation)")
-        cmd.add_argument("--times", help="explicit comma-separated omega_1*t values")
-        cmd.add_argument("-m", "--source", type=int, help="source site (1-based)")
-        cmd.add_argument("-n", "--target", type=int, help="target site (1-based)")
-        cmd.add_argument("--alpha", help="vacuum amplitude (complex literal)")
-        cmd.add_argument("--beta", help="photon amplitude (complex literal)")
-        cmd.add_argument("--states", choices=("haar", "fixed4"), default="haar",
-                         help="dissipation ensemble: Haar samples or the four reference states")
+        for flag in flags:
+            names, options = _FLAGS[flag]
+            cmd.add_argument(*names, **options)
     return parser
 
 
@@ -284,10 +295,12 @@ def resolve_experiment(args: argparse.Namespace) -> ResolvedExperiment:
     config = config_from_dict(raw)
     freq_mode, pair = _freq_provenance(raw)
 
-    if args.source is not None or args.target is not None:
-        if args.source is None or args.target is None:
+    # subcommands without -m/-n take the pair from the config alone
+    source, target = getattr(args, "source", None), getattr(args, "target", None)
+    if source is not None or target is not None:
+        if source is None or target is None:
             raise ConfigError("-m/--source and -n/--target must be given together")
-        flag_pair = (args.source, args.target)
+        flag_pair = (source, target)
         if pair is not None and tuple(pair) != flag_pair:
             raise ConfigError(
                 f"site pair {flag_pair} conflicts with the config profile pair {tuple(pair)}"
@@ -541,6 +554,9 @@ def cmd_dissipation(exp: ResolvedExperiment) -> int:
         grid = np.logspace(math.log10(lo), math.log10(hi), count)
 
     if exp.args.states == "fixed4":
+        if exp.args.samples is not None:
+            raise ConfigError("--samples does not apply to --states fixed4 "
+                              "(the four reference states)")
         states = reference_qubit_states()
         samples = states[0].shape[0]
     else:

@@ -6,9 +6,9 @@ very long horizons the weak-coupling protocols need (omega*t ~ 1e5 and up).
 
 The uniform bond phase eta is handled by a gauge transform: with
 D = diag(e^{+i*k*eta}) the matrix D H(eta) D^dag is real symmetric
-tridiagonal, which is what the banded eigensolver wants. Eigenvectors are
-rotated back afterwards, so probabilities come out eta-independent while
-amplitudes keep their physical phases.
+tridiagonal, so numpy.linalg.eigh solves a real symmetric problem.
+Eigenvectors are rotated back afterwards, so probabilities come out
+eta-independent while amplitudes keep their physical phases.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, NumericalInvariantError
 from .model import HamiltonianMatrix
@@ -27,6 +26,7 @@ __all__ = [
     "decompose",
     "evolve",
     "site_probabilities",
+    "transfer_amplitude",
     "transfer_probability",
     "single_photon_state",
     "qubit_state",
@@ -116,24 +116,19 @@ def decompose(hamiltonian: HamiltonianMatrix) -> SpectralDecomposition:
     """
     h = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=complex)
     n = h.shape[0]
-    if n == 1:
-        lam = np.array([h[0, 0].real])
-        vec = np.ones((1, 1), dtype=complex)
-        return SpectralDecomposition(lam, vec)
-
-    diag = h.diagonal().real.copy()
-    off = h.diagonal(1).copy()
+    off = h.diagonal(1)
     # Row phases theta with theta_1 = 0, theta_{k+1} = theta_k - arg(H[k,k+1])
     # make diag(e^{-i theta}) H diag(e^{+i theta}) real symmetric; the physical
     # eigenvectors are then diag(e^{+i theta}) times the real ones.
     phases = np.zeros(n)
     phases[1:] = -np.cumsum(np.angle(off))
     off_abs = np.abs(off)
+    gauged = np.diag(h.diagonal().real) + np.diag(off_abs, 1) + np.diag(off_abs, -1)
     try:
-        lam, vec_real = eigh_tridiagonal(diag, off_abs)
+        lam, vec_real = np.linalg.eigh(gauged)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise NumericalInvariantError(
-            f"tridiagonal eigensolver failed to converge: {exc}"
+            f"symmetric eigensolver failed to converge: {exc}"
         ) from exc
     vectors = np.exp(1j * phases)[:, None] * vec_real
 
@@ -172,12 +167,12 @@ def site_probabilities(state: ExcitationState) -> np.ndarray:
     return np.abs(state.amplitudes[1:]) ** 2
 
 
-def transfer_probability(initial_site: int, target_site: int,
-                         spec: SpectralDecomposition, t) -> np.ndarray | float:
-    """|<target| e^{-iHt} |initial>|^2, vectorized over t.
+def transfer_amplitude(initial_site: int, target_site: int,
+                       spec: SpectralDecomposition, t) -> np.ndarray | complex:
+    """<target| e^{-iHt} |initial>, vectorized over t.
 
-    Scalar t returns a float; an array of times returns an array. Sites are
-    1-based.
+    Scalar t returns a complex; an array of times returns an array. Sites
+    are 1-based.
     """
     n = spec.n_sites
     for name, site in (("initial_site", initial_site), ("target_site", target_site)):
@@ -189,7 +184,17 @@ def transfer_probability(initial_site: int, target_site: int,
     v = spec.eigenvectors
     weights = v[target_site - 1, :] * np.conj(v[initial_site - 1, :])
     amps = np.exp(-1j * np.outer(t_arr.ravel(), spec.eigenvalues)) @ weights
-    probs = np.abs(amps) ** 2
     if t_arr.ndim == 0:
-        return float(probs[0])
-    return probs.reshape(t_arr.shape)
+        return complex(amps[0])
+    return amps.reshape(t_arr.shape)
+
+
+def transfer_probability(initial_site: int, target_site: int,
+                         spec: SpectralDecomposition, t) -> np.ndarray | float:
+    """|<target| e^{-iHt} |initial>|^2, vectorized over t.
+
+    Scalar t returns a float; an array of times returns an array. Sites are
+    1-based.
+    """
+    probs = np.abs(transfer_amplitude(initial_site, target_site, spec, t)) ** 2
+    return float(probs) if np.ndim(probs) == 0 else probs

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ExcitationState, decompose, evolve, single_photon_state
+from .dynamics import ExcitationState, decompose, transfer_amplitude
 from .errors import ConfigError, NumericalInvariantError
 from .model import HamiltonianMatrix, build_hamiltonian
 from .protocol import TransferPlan, plan_config
@@ -399,8 +399,7 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, samples: int,
 
     t_star = plan.transfer_time
     spec = decompose(build_hamiltonian(plan_config(plan)))
-    psi = evolve(single_photon_state(plan.n_sites, plan.source), spec, t_star)
-    a = complex(psi.amplitudes[plan.target])
+    a = transfer_amplitude(plan.source, plan.target, spec, t_star)
     a2 = np.abs(alpha) ** 2
     b2 = np.abs(beta) ** 2
 

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
 
-from .dynamics import SpectralDecomposition, decompose
+from .dynamics import SpectralDecomposition, decompose, transfer_amplitude
 from .errors import ConfigError, DoubletNotResolvedError
 from .model import (ArrayConfig, build_couplings, build_hamiltonian,
                     switching_frequencies, wrap_phase)
@@ -150,33 +150,15 @@ class TransferPlan:
         object.__setattr__(self, "predicted_peak", float(self.predicted_peak))
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "n_sites": self.n_sites,
-            "frequencies": [float(w) for w in self.frequencies],
-            "coupling_scale": self.coupling_scale,
-            "lambda_plus": self.lambda_plus,
-            "lambda_minus": self.lambda_minus,
-            "theta": self.theta,
-            "lambda_mean": self.lambda_mean,
-            "transfer_time": self.transfer_time,
-            "eta_star": self.eta_star,
-            "doublet_purity": self.doublet_purity,
-            "plus_overlap_sign": self.plus_overlap_sign,
-            "predicted_peak": self.predicted_peak,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["frequencies"] = [float(w) for w in self.frequencies]
+        return out
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TransferPlan":
         if not isinstance(data, Mapping):
             raise ConfigError(f"plan must be a mapping, got {type(data).__name__}")
-        known = {
-            "source", "target", "n_sites", "frequencies", "coupling_scale",
-            "lambda_plus", "lambda_minus", "theta", "lambda_mean",
-            "transfer_time", "eta_star", "doublet_purity",
-            "plus_overlap_sign", "predicted_peak",
-        }
+        known = {f.name for f in fields(cls)}
         for key in data:
             if key not in known:
                 raise ConfigError(f"unknown plan field '{key}'")
@@ -451,14 +433,10 @@ def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
             f"qubit amplitudes not normalized: |alpha|^2 + |beta|^2 = {norm!r}"
         )
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.all(np.isfinite(t_arr)):
-        raise ConfigError("times must be finite")
     eta_used = plan.eta_star if eta is None else wrap_phase(eta)
 
     spec = decompose(build_hamiltonian(plan_config(plan, eta=eta_used)))
-    v = spec.eigenvectors
-    weights = v[plan.target - 1, :] * np.conj(v[plan.source - 1, :])
-    amp = np.exp(-1j * np.outer(t_arr, spec.eigenvalues)) @ weights
+    amp = transfer_amplitude(plan.source, plan.target, spec, t_arr)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
     numeric = np.abs(a2 + b2 * amp) ** 2
 

@@ -164,6 +164,14 @@ def test_exit_codes():
                     "--grid", "backwards"]) == 2
     assert run_cli(["transfer", "--preset", "fig3a", "--preset", "fig3b",
                     "--config", "x.json"]) == 2
+    # a flag the subcommand does not read is refused, not ignored
+    assert run_cli(["dissipation", "--preset", "fig5", "--seed", "1",
+                    "--eta", "0.3"]) == 2
+    assert run_cli(["spectrum", "--preset", "fig2", "--seed", "9", "--samples", "3",
+                    "--alpha", "2", "--times", "1"]) == 2
+    assert run_cli(["resonant-walk", "--preset", "fig1", "-m", "4", "-n", "5"]) == 2
+    assert run_cli(["dissipation", "--preset", "fig5", "--seed", "1",
+                    "--states", "fixed4", "--samples", "1000"]) == 2
 
 
 def test_detuned_array_refuses_resonant_closed_form(tmp_path):
@@ -217,20 +225,30 @@ def test_eta_override_changes_qubit_outcome(tmp_path):
     assert right["fidelity_at_transfer_time"] > 0.99
 
 
-def test_console_entry_point_subprocess(tmp_path):
-    # end-to-end through the real interpreter once, on the package this
-    # test imported (pytest's pythonpath does not reach a child process)
+def run_child(*args):
+    # a fresh interpreter on the package this test imported (pytest's
+    # pythonpath does not reach a child process)
     package_root = os.path.dirname(os.path.dirname(gfsim.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "gfsim", "spectrum", "--preset", "fig2"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_entry_point_subprocess(tmp_path):
+    # end-to-end through the real interpreter once
+    result = run_child("-m", "gfsim", "spectrum", "--preset", "fig2")
     assert result.returncode == 0
     lines = result.stdout.strip().splitlines()
     assert lines[0].startswith("# ")
     assert lines[1].split(",")[0] == "site"
     assert len(lines) == 12
+
+
+def test_import_does_not_load_scipy():
+    # the runtime needs numpy alone; scipy is a test-only oracle
+    result = run_child("-c", "import sys, gfsim; print('scipy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_unwritable_output_path(tmp_path):

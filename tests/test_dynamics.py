@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfsim.errors import ConfigError, NumericalInvariantError
-from gfsim.model import ArrayConfig, build_hamiltonian
+from gfsim.model import ArrayConfig, build_hamiltonian, switching_frequencies
 from gfsim.dynamics import (
     ExcitationState,
     decompose,
@@ -15,10 +15,30 @@ from gfsim.dynamics import (
     qubit_state,
     single_photon_state,
     site_probabilities,
+    transfer_amplitude,
     transfer_probability,
 )
 
 from conftest import brute_force_evolve
+
+
+# Spectra of the fig2 (N = 10, pair (3, 7)) and fig3b (N = 6, pair (2, 4))
+# switching profiles at J = 0.0013. Recipe: build the float64 matrix with
+# build_hamiltonian(ArrayConfig(N, switching_frequencies(1.0, m, n, N),
+# 0.0013)), convert each entry exactly to mpmath at 60 digits, mpmath.eigsy,
+# sort ascending, round to 17 digits.
+SWITCHING_SPECTRA = {
+    (10, 3, 7): [
+        -0.12501351991876092, 0.99999806848947927, 0.99999806857071801,
+        1.8749965234224568, 1.8749965234224584, 2.4999918871142814,
+        2.4999918886556254, 2.8748990805242711, 2.8750199026292491,
+        3.0001215770902213,
+    ],
+    (6, 2, 4): [
+        -0.25000675998172107, 0.99999774662764186, 0.99999774668064251,
+        1.7499721787400518, 1.7500052918624067, 2.0000337960709782,
+    ],
+}
 
 
 def random_config(rng, n_sites):
@@ -66,6 +86,19 @@ def test_decompose_eigensystem_properties():
         rebuilt = (vec * lam) @ vec.conj().T
         scale = np.max(np.abs(h.matrix))
         assert np.max(np.abs(rebuilt - h.matrix)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("profile", sorted(SWITCHING_SPECTRA),
+                         ids=lambda p: f"N{p[0]}_{p[1]}to{p[2]}")
+def test_decompose_matches_high_precision_spectrum(profile):
+    # Weyl: a symmetric eigenvalue moves by at most the solver's backward
+    # error, a small multiple of N*eps*||H|| for LAPACK; ||H||_inf >= ||H||_2.
+    n_sites, m, n = profile
+    h = build_hamiltonian(ArrayConfig(n_sites, switching_frequencies(1.0, m, n, n_sites),
+                                      0.0013)).matrix
+    bound = n_sites * np.finfo(float).eps * np.max(np.sum(np.abs(h), axis=1))
+    error = np.abs(decompose(h).eigenvalues - np.array(SWITCHING_SPECTRA[profile]))
+    assert np.max(error) <= bound
 
 
 def test_eigenvalues_are_phase_independent():
@@ -145,6 +178,12 @@ def test_transfer_probability_consistency():
     assert isinstance(scalar, float)
     assert scalar == pytest.approx(probs[1], abs=1e-15)
     assert transfer_probability(3, 3, spec, 0.0) == pytest.approx(1.0)
+    # the amplitude behind it carries evolve's phase, not just its modulus
+    amps = transfer_amplitude(2, 5, spec, times)
+    assert isinstance(amps, np.ndarray) and amps.shape == times.shape
+    for t, a in zip(times, amps):
+        assert abs(a - evolve(start, spec, float(t)).amplitudes[5]) <= 1e-12
+    assert isinstance(transfer_amplitude(2, 5, spec, 0.8), complex)
 
 
 def test_transfer_probability_rejects_bad_sites():
