@@ -20,10 +20,8 @@ from .errors import (
 from .model import (
     ArrayConfig,
     HamiltonianMatrix,
-    LadderMatrix,
     build_couplings,
     build_hamiltonian,
-    build_ladder,
     config_from_dict,
     config_to_dict,
     switching_frequencies,
@@ -69,8 +67,8 @@ __all__ = [
     "__version__",
     "GfsimError", "ConfigError", "RegimeError", "ClosedFormInapplicableError",
     "DoubletNotResolvedError", "NumericalInvariantError",
-    "ArrayConfig", "HamiltonianMatrix", "LadderMatrix",
-    "build_couplings", "build_hamiltonian", "build_ladder",
+    "ArrayConfig", "HamiltonianMatrix",
+    "build_couplings", "build_hamiltonian",
     "switching_frequencies", "config_from_dict", "config_to_dict", "wrap_phase",
     "ExcitationState", "SpectralDecomposition", "decompose", "evolve",
     "single_photon_state", "qubit_state", "site_probabilities",

@@ -129,29 +129,6 @@ class ResolvedExperiment:
     args: argparse.Namespace
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip text for one table cell."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _jsonable(value):
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _atomic_write(path: str, text: str) -> None:
     parent = os.path.dirname(os.path.abspath(path)) or "."
     try:
@@ -172,29 +149,43 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def write_table(path: str | None, fmt: str, metadata: dict,
-                columns: list[str], rows) -> None:
-    metadata = _jsonable(metadata)
-    if fmt == "csv":
-        lines = ["# " + json.dumps(metadata, sort_keys=True)]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(cell) for cell in row))
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        payload = {
-            "metadata": metadata,
-            "columns": columns,
-            "rows": [[_jsonable(cell) for cell in row] for row in rows],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+def _emit(path: str | None, text: str) -> None:
+    """The one place output text leaves the CLI: stdout, or an atomic file."""
     if path is None:
         sys.stdout.write(text)
     else:
         _atomic_write(path, text)
         print(f"wrote {path}")
+
+
+def _dumps(payload, **kwargs) -> str:
+    # numpy scalars and arrays become their Python values; np.float64 is a
+    # float already, so its text is repr(float)
+    return json.dumps(payload, sort_keys=True, default=lambda o: o.tolist(), **kwargs)
+
+
+def _json_document(payload: dict) -> str:
+    return _dumps(payload, indent=2) + "\n"
+
+
+def write_table(path: str | None, fmt: str, metadata: dict, columns: dict) -> None:
+    """Emit a table given column-major: `columns` maps each name to a 1-d
+    array or list, all of one length.
+
+    Cells are the Python values of the columns: CSV writes str(cell), the
+    shortest round-trip text, so integer columns stay integers.
+    """
+    cells = [np.asarray(c).tolist() for c in columns.values()]
+    if fmt == "csv":
+        lines = ["# " + _dumps(metadata), ",".join(columns)]
+        lines += [",".join(map(str, row)) for row in zip(*cells)]
+        text = "\n".join(lines) + "\n"
+    elif fmt == "json":
+        text = _json_document({"metadata": metadata, "columns": list(columns),
+                               "rows": list(zip(*cells))})
+    else:
+        raise ConfigError(f"unknown output format {fmt!r}")
+    _emit(path, text)
 
 
 def _parse_grid(text: str):
@@ -236,11 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gfsim",
         description="Photon transport and state transfer in a square-root-coupled cavity array",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"gfsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (description, flags) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=description)
+        cmd = sub.add_parser(name, help=description, allow_abbrev=False)
         cmd.add_argument("--config", help="path to a JSON array config")
         cmd.add_argument("--preset", choices=sorted(_PRESETS),
                          help="named parameter preset")
@@ -356,28 +348,30 @@ def _require_pair(exp: ResolvedExperiment) -> tuple[int, int]:
     return m, n
 
 
-def _capture_plan(template: ArrayConfig, m: int, n: int):
-    """make_plan with purity warnings captured for metadata + stderr."""
+def _capture_plan(template: ArrayConfig, m: int, n: int, meta: dict):
+    """make_plan with purity warnings echoed to stderr and kept in meta."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         plan = make_plan(template, m, n)
     notes = [str(w.message) for w in caught]
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
-    return plan, notes
+    if notes:
+        meta["warnings"] = notes
+    return plan
 
 
 def cmd_spectrum(exp: ResolvedExperiment) -> int:
     spec = decompose(build_hamiltonian(exp.config))
-    base = float(exp.config.frequencies[0])
-    columns = ["site", "omega", "omega_over_base", "eigenvalue"]
-    rows = []
-    for k in range(exp.config.n_sites):
-        w = float(exp.config.frequencies[k])
-        rows.append([k + 1, w, w / base, float(spec.eigenvalues[k])])
+    freqs = exp.config.frequencies
     meta = _base_metadata(exp)
     meta["eigenvalue_note"] = "eigenvalues ascending; row pairing with sites is positional only"
-    write_table(exp.args.out, exp.args.format, meta, columns, rows)
+    write_table(exp.args.out, exp.args.format, meta, {
+        "site": np.arange(1, exp.config.n_sites + 1),
+        "omega": freqs,
+        "omega_over_base": freqs / freqs[0],
+        "eigenvalue": spec.eigenvalues,
+    })
     return 0
 
 
@@ -395,54 +389,43 @@ def cmd_resonant_walk(exp: ResolvedExperiment) -> int:
     start = single_photon_state(cfg.n_sites, 1)
 
     n = cfg.n_sites
-    columns = (["omega1_t"] + [f"p_{k}" for k in range(1, n + 1)]
-               + [f"closed_p_{k}" for k in range(1, n + 1)]
-               + ["max_abs_deviation", "boundary_population"])
-    rows = []
+    probs, closed, deviation = [], [], []
     for wt in times:
         t = float(wt) / base
         state = evolve(start, spec, t)
-        probs = site_probabilities(state)
         profile = truncated_coherent_amplitudes(cfg.coupling_scale, t, n)
         # the closed form lives in the frame rotating at the resonance
         rotated = state.amplitudes[1:] * np.exp(1j * base * t)
-        deviation = float(np.max(np.abs(rotated - profile.amplitudes)))
-        closed_probs = np.abs(profile.amplitudes) ** 2
-        rows.append([float(wt)] + [float(p) for p in probs]
-                    + [float(p) for p in closed_probs]
-                    + [deviation, float(probs[-1])])
+        probs.append(site_probabilities(state))
+        closed.append(np.abs(profile.amplitudes) ** 2)
+        deviation.append(np.max(np.abs(rotated - profile.amplitudes)))
+    probs, closed = np.array(probs), np.array(closed)
+    columns = {"omega1_t": times}
+    columns.update({f"p_{k}": probs[:, k - 1] for k in range(1, n + 1)})
+    columns.update({f"closed_p_{k}": closed[:, k - 1] for k in range(1, n + 1)})
+    columns["max_abs_deviation"] = deviation
+    columns["boundary_population"] = probs[:, -1]
     meta = _base_metadata(exp)
     meta["initial_site"] = 1
     meta["deviation_note"] = (
         "max_abs_deviation compares amplitudes in the resonant rotating frame"
     )
-    write_table(exp.args.out, exp.args.format, meta, columns, rows)
+    write_table(exp.args.out, exp.args.format, meta, columns)
     return 0
 
 
 def cmd_plan(exp: ResolvedExperiment) -> int:
     m, n = _require_pair(exp)
-    plan, notes = _capture_plan(exp.config, m, n)
     meta = _base_metadata(exp)
-    if notes:
-        meta["warnings"] = notes
+    plan = _capture_plan(exp.config, m, n, meta)
+    fields = plan.to_dict()
     if exp.args.format == "json":
-        payload = {"metadata": _jsonable(meta), "plan": plan.to_dict()}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        if exp.args.out is None:
-            sys.stdout.write(text)
-        else:
-            _atomic_write(exp.args.out, text)
-            print(f"wrote {exp.args.out}")
+        _emit(exp.args.out, _json_document({"metadata": meta, "plan": fields}))
     else:
-        rows = sorted(plan.to_dict().items())
-        write_table(exp.args.out, "csv", meta, ["field", "value"],
-                    [[k, json.dumps(_jsonable(v))] for k, v in rows])
+        keys = sorted(fields)
+        write_table(exp.args.out, "csv", meta, {
+            "field": keys, "value": [_dumps(fields[k]) for k in keys]})
     return 0
-
-
-def _sidecar_path(out: str) -> str:
-    return out + ".plan.json"
 
 
 def cmd_transfer(exp: ResolvedExperiment) -> int:
@@ -451,9 +434,7 @@ def cmd_transfer(exp: ResolvedExperiment) -> int:
     m, n = _require_pair(exp)
     meta = _base_metadata(exp)
     if exp.freq_mode == "switching":
-        plan, notes = _capture_plan(cfg, m, n)
-        if notes:
-            meta["warnings"] = notes
+        plan = _capture_plan(cfg, m, n, meta)
         t_star_wt = plan.transfer_time * base
         times_wt = _time_grid(exp, default=np.linspace(0.0, 2.0 * t_star_wt,
                                                        _DEFAULT_SWEEP_POINTS))
@@ -482,13 +463,10 @@ def cmd_transfer(exp: ResolvedExperiment) -> int:
     if plan is not None:
         rel = abs(times_wt[peak_idx] - plan.transfer_time * base) / (plan.transfer_time * base)
         meta["peak_time_relative_offset"] = float(rel)
-    rows = [[float(wt), float(p)] for wt, p in zip(times_wt, probs)]
-    write_table(exp.args.out, exp.args.format, meta, ["omega1_t", "p_transfer"], rows)
+    write_table(exp.args.out, exp.args.format, meta,
+                {"omega1_t": times_wt, "p_transfer": probs})
     if plan is not None and exp.args.out is not None:
-        sidecar = _sidecar_path(exp.args.out)
-        _atomic_write(sidecar, json.dumps({"plan": plan.to_dict()},
-                                          sort_keys=True, indent=2) + "\n")
-        print(f"wrote {sidecar}")
+        _emit(exp.args.out + ".plan.json", _json_document({"plan": plan.to_dict()}))
     return 0
 
 
@@ -503,33 +481,31 @@ def cmd_qubit(exp: ResolvedExperiment) -> int:
     alpha = _parse_complex(str(alpha_text), "--alpha")
     beta = _parse_complex(str(beta_text), "--beta")
 
-    plan, notes = _capture_plan(cfg, m, n)
+    meta = _base_metadata(exp)
+    plan = _capture_plan(cfg, m, n, meta)
     t_star_wt = plan.transfer_time * base
     times_wt = _time_grid(exp, default=np.linspace(0.0, 2.0 * t_star_wt,
                                                    _DEFAULT_SWEEP_POINTS))
-    eta = exp.args.eta if exp.args.eta is not None else None
-    numeric, closed = qubit_fidelity_curve(plan, alpha, beta, times_wt / base, eta=eta)
-    at_star, at_star_closed = qubit_fidelity_curve(
-        plan, alpha, beta, [plan.transfer_time], eta=eta)
+    eta = exp.args.eta
+    # one call, so one decomposition: t* rides along as the last time point
+    numeric, closed = qubit_fidelity_curve(
+        plan, alpha, beta, np.append(times_wt / base, plan.transfer_time), eta=eta)
+    at_star, at_star_closed = numeric[-1], closed[-1]
+    numeric, closed = numeric[:-1], closed[:-1]
 
-    meta = _base_metadata(exp)
-    if notes:
-        meta["warnings"] = notes
     meta.update({
         "plan": plan.to_dict(),
         "alpha": [alpha.real, alpha.imag],
         "beta": [beta.real, beta.imag],
         "eta_used": float(plan.eta_star if eta is None else eta),
         "peak_fidelity": float(np.max(numeric)),
-        "fidelity_at_transfer_time": float(at_star[0]),
-        "closed_form_fidelity_at_transfer_time": float(at_star_closed[0]),
+        "fidelity_at_transfer_time": float(at_star),
+        "closed_form_fidelity_at_transfer_time": float(at_star_closed),
         "transfer_time_omega1_t": float(t_star_wt),
         "max_closed_form_deviation": float(np.max(np.abs(numeric - closed))),
     })
-    rows = [[float(wt), float(f), float(c)]
-            for wt, f, c in zip(times_wt, numeric, closed)]
-    write_table(exp.args.out, exp.args.format, meta,
-                ["omega1_t", "fidelity", "closed_form_fidelity"], rows)
+    write_table(exp.args.out, exp.args.format, meta, {
+        "omega1_t": times_wt, "fidelity": numeric, "closed_form_fidelity": closed})
     return 0
 
 
@@ -567,14 +543,11 @@ def cmd_dissipation(exp: ResolvedExperiment) -> int:
             raise ConfigError(f"--samples must be >= 1, got {samples}")
 
     multi = len(pairs) > 1
-    columns = ["gamma_over_J", "mean_fidelity", "stderr", "samples", "t_star"]
     for m, n in pairs:
-        plan, notes = _capture_plan(cfg, m, n)
+        meta = _base_metadata(exp)
+        plan = _capture_plan(cfg, m, n, meta)
         curve = average_transfer_fidelity(plan, grid, samples, exp.args.seed,
                                           states=states)
-        meta = _base_metadata(exp)
-        if notes:
-            meta["warnings"] = notes
         meta.update({
             "source": m,
             "target": n,
@@ -584,15 +557,18 @@ def cmd_dissipation(exp: ResolvedExperiment) -> int:
             "plan": plan.to_dict(),
             "gamma_grid_note": "gamma/J grid, log-spaced",
         })
-        rows = [[float(g), float(f), float(e), int(curve.samples),
-                 float(curve.transfer_time)]
-                for g, f, e in zip(curve.gamma_over_J, curve.mean_fidelity,
-                                   curve.stderr)]
+        cells = len(curve.gamma_over_J)
         out = exp.args.out
         if out is not None and multi:
             stem, ext = os.path.splitext(out)
             out = f"{stem}_m{m}n{n}{ext or ''}"
-        write_table(out, exp.args.format, meta, columns, rows)
+        write_table(out, exp.args.format, meta, {
+            "gamma_over_J": curve.gamma_over_J,
+            "mean_fidelity": curve.mean_fidelity,
+            "stderr": curve.stderr,
+            "samples": np.full(cells, int(curve.samples)),
+            "t_star": np.full(cells, float(curve.transfer_time)),
+        })
     return 0
 
 

@@ -25,10 +25,8 @@ from .errors import ConfigError
 __all__ = [
     "ArrayConfig",
     "HamiltonianMatrix",
-    "LadderMatrix",
     "build_couplings",
     "build_hamiltonian",
-    "build_ladder",
     "switching_frequencies",
     "config_from_dict",
     "config_to_dict",
@@ -60,15 +58,13 @@ class ArrayConfig:
 
     frequencies are the on-site resonance frequencies (length n_sites, in
     units of the reference frequency), coupling_scale is J > 0,
-    coupling_phase is the uniform bond phase in [-pi, pi), decay_rate is
-    the uniform loss rate gamma >= 0 (only open_system reads it).
+    coupling_phase is the uniform bond phase in [-pi, pi).
     """
 
     n_sites: int
     frequencies: np.ndarray
     coupling_scale: float
     coupling_phase: float = 0.0
-    decay_rate: float = 0.0
 
     def __post_init__(self) -> None:
         n = self.n_sites
@@ -94,11 +90,6 @@ class ArrayConfig:
         object.__setattr__(self, "coupling_scale", scale)
 
         object.__setattr__(self, "coupling_phase", wrap_phase(self.coupling_phase))
-
-        gamma = float(self.decay_rate)
-        if not math.isfinite(gamma) or gamma < 0.0:
-            raise ConfigError(f"decay_rate must be >= 0, got {gamma!r}")
-        object.__setattr__(self, "decay_rate", gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,23 +131,6 @@ class HamiltonianMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class LadderMatrix:
-    """Strictly upper-bidiagonal lowering matrix with sqrt(k) entries."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigError(f"ladder matrix must be square, got shape {a.shape}")
-        object.__setattr__(self, "matrix", _readonly(a))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def build_couplings(scale: float, n_sites: int) -> np.ndarray:
     """Bond strengths J*sqrt(k) for k = 1..n_sites-1 (strictly increasing)."""
     if not isinstance(n_sites, (int, np.integer)) or n_sites < 2:
@@ -181,23 +155,6 @@ def build_hamiltonian(config: ArrayConfig) -> HamiltonianMatrix:
     h[idx, idx + 1] = bonds
     h[idx + 1, idx] = np.conj(bonds)
     return HamiltonianMatrix(h)
-
-
-def build_ladder(n_sites: int) -> LadderMatrix:
-    """Lowering matrix A with (k, k+1) entry sqrt(k), all else zero.
-
-    For resonant frequencies omega and eta = 0,
-    build_hamiltonian == omega*I + J*(A + A^T). The boundary commutator
-    [A, A^T] is diag(1, ..., 1, 1-N): the truncation defect sits entirely
-    in the last diagonal entry.
-    """
-    if not isinstance(n_sites, (int, np.integer)) or n_sites < 2:
-        raise ConfigError(f"n_sites must be an integer >= 2, got {n_sites!r}")
-    n = int(n_sites)
-    a = np.zeros((n, n), dtype=float)
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = np.sqrt(idx + 1.0)
-    return LadderMatrix(a)
 
 
 def switching_frequencies(base: float, m: int, n: int, n_sites: int) -> np.ndarray:
@@ -233,8 +190,8 @@ def switching_frequencies(base: float, m: int, n: int, n_sites: int) -> np.ndarr
 
 # JSON config schema. "frequencies" is either an explicit list or a preset
 # object {"preset": "resonant"|"switching", "C": ..., "m": ..., "n": ...};
-# C defaults to 1.0 (the reference frequency), eta and gamma default to 0.
-_TOP_KEYS = {"n_sites", "frequencies", "J", "eta", "gamma"}
+# C defaults to 1.0 (the reference frequency), eta defaults to 0.
+_TOP_KEYS = {"n_sites", "frequencies", "J", "eta"}
 _PRESET_KEYS = {"preset", "C", "m", "n"}
 
 
@@ -308,7 +265,6 @@ def config_from_dict(data: Mapping) -> ArrayConfig:
         frequencies=np.asarray(frequencies, dtype=float),
         coupling_scale=float(_require_number(data, "J")),
         coupling_phase=float(_require_number(data, "eta", 0.0)),
-        decay_rate=float(_require_number(data, "gamma", 0.0)),
     )
 
 
@@ -319,5 +275,4 @@ def config_to_dict(config: ArrayConfig) -> dict:
         "frequencies": [float(w) for w in config.frequencies],
         "J": config.coupling_scale,
         "eta": config.coupling_phase,
-        "gamma": config.decay_rate,
     }

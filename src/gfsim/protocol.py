@@ -403,15 +403,13 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
     )
 
 
-def plan_config(plan: TransferPlan, eta: float | None = None,
-                gamma: float = 0.0) -> ArrayConfig:
+def plan_config(plan: TransferPlan, eta: float | None = None) -> ArrayConfig:
     """ArrayConfig that realizes a plan (bond phase defaults to eta_star)."""
     return ArrayConfig(
         n_sites=plan.n_sites,
         frequencies=plan.frequencies,
         coupling_scale=plan.coupling_scale,
         coupling_phase=plan.eta_star if eta is None else eta,
-        decay_rate=gamma,
     )
 
 

@@ -48,24 +48,56 @@ def test_metadata_has_no_timestamps(tmp_path):
     assert meta["version"]
 
 
+# one preset run per command; dissipation's preset writes one file per pair
+PRESET_RUNS = [
+    ["spectrum", "--preset", "fig2"],
+    ["resonant-walk", "--preset", "fig1"],
+    ["plan", "--preset", "fig3b"],
+    ["transfer", "--preset", "fig3b"],
+    ["qubit", "--preset", "fig4"],
+    ["dissipation", "--preset", "fig5", "--seed", "3"],
+]
+
+
+def run_to_dir(argv, out_dir, fmt="csv"):
+    """Run one command into a fresh directory; {file name: text} of its output."""
+    out_dir.mkdir()
+    assert run_cli(argv + ["--format", fmt, "--out", str(out_dir / f"out.{fmt}")]) == 0
+    return {p.name: p.read_text() for p in sorted(out_dir.iterdir())}
+
+
 def test_reruns_are_bit_identical(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for out in (a, b):
-        run_cli(["dissipation", "--preset", "fig5", "-m", "1", "-n", "3",
-                 "--seed", "7", "--samples", "20", "--grid", "0.001:1:4",
-                 "--out", str(out)])
-    assert a.read_bytes() == b.read_bytes()
+    runs = PRESET_RUNS + [["dissipation", "--preset", "fig5", "-m", "1", "-n", "3",
+                           "--seed", "7", "--samples", "20", "--grid", "0.001:1:4"]]
+    for k, argv in enumerate(runs):
+        first = run_to_dir(argv, tmp_path / f"{k}a")
+        assert first == run_to_dir(argv, tmp_path / f"{k}b"), argv
 
 
 def test_csv_and_json_agree(tmp_path):
-    c, j = tmp_path / "s.csv", tmp_path / "s.json"
-    run_cli(["spectrum", "--preset", "fig2", "--out", str(c)])
-    run_cli(["spectrum", "--preset", "fig2", "--format", "json", "--out", str(j)])
-    _, columns, rows = read_csv_output(c)
-    payload = json.loads(j.read_text())
-    assert payload["columns"] == columns
-    np.testing.assert_allclose(np.array(payload["rows"], dtype=float),
-                               np.array(rows, dtype=float), rtol=0, atol=0)
+    for argv in PRESET_RUNS:
+        name = argv[0]
+        csv_files = run_to_dir(argv, tmp_path / f"{name}_csv", "csv")
+        json_files = run_to_dir(argv, tmp_path / f"{name}_json", "json")
+        # out.csv <-> out.json, out_m1n3.csv <-> out_m1n3.json, and the
+        # transfer sidecars out.csv.plan.json <-> out.json.plan.json
+        assert [f.replace(".csv", ".json", 1) for f in csv_files] == list(json_files)
+        for csv_name, text in csv_files.items():
+            other = json_files[csv_name.replace(".csv", ".json", 1)]
+            if csv_name.endswith(".plan.json"):
+                assert text == other, name
+                continue
+            header, head, *lines = text.splitlines()
+            payload = json.loads(other)
+            assert json.loads(header[2:]) == payload["metadata"], name
+            if name == "plan":
+                assert head == "field,value"
+                fields = dict(line.split(",", 1) for line in lines)
+                assert {k: json.loads(v) for k, v in fields.items()} == payload["plan"]
+                continue
+            # the same cells, text for text: integer columns stay integers
+            assert head.split(",") == payload["columns"], name
+            assert lines == [",".join(map(str, row)) for row in payload["rows"]], name
 
 
 def test_spectrum_shows_switching_degeneracy(tmp_path):
@@ -172,6 +204,9 @@ def test_exit_codes():
     assert run_cli(["resonant-walk", "--preset", "fig1", "-m", "4", "-n", "5"]) == 2
     assert run_cli(["dissipation", "--preset", "fig5", "--seed", "1",
                     "--states", "fixed4", "--samples", "1000"]) == 2
+    # abbreviated flags are refused, not expanded
+    assert run_cli(["qubit", "--pre", "fig4", "--al", "0.6", "--be", "0.8",
+                    "--ti", "1"]) == 2
 
 
 def test_detuned_array_refuses_resonant_closed_form(tmp_path):

@@ -11,7 +11,6 @@ from gfsim.model import (
     HamiltonianMatrix,
     build_couplings,
     build_hamiltonian,
-    build_ladder,
     config_from_dict,
     config_to_dict,
     switching_frequencies,
@@ -47,7 +46,6 @@ def test_array_config_validation():
     good = ArrayConfig(4, np.array([1.0, 1.1, 1.2, 1.3]), 0.1)
     assert good.n_sites == 4
     assert good.coupling_phase == 0.0
-    assert good.decay_rate == 0.0
     with pytest.raises(ConfigError):
         ArrayConfig(1, np.array([1.0]), 0.1)
     with pytest.raises(ConfigError):
@@ -56,8 +54,6 @@ def test_array_config_validation():
         ArrayConfig(4, np.array([1.0, 2.0, np.nan, 4.0]), 0.1)
     with pytest.raises(ConfigError):
         ArrayConfig(4, np.ones(4), 0.0)                    # J must be > 0
-    with pytest.raises(ConfigError):
-        ArrayConfig(4, np.ones(4), 0.1, decay_rate=-1e-3)
 
 
 def test_array_config_is_frozen_and_read_only():
@@ -99,15 +95,6 @@ def test_hamiltonian_matrix_rejects_bad_input():
     h = HamiltonianMatrix(np.diag([1.0, 2.0]).astype(complex))
     with pytest.raises(ValueError):
         h.matrix[0, 0] = 9.0
-
-
-def test_ladder_commutator_identity():
-    # [A, A^T] for the truncated ladder is diag(1, ..., 1, 1 - N)
-    for n in (2, 3, 6, 10):
-        a = build_ladder(n).matrix
-        comm = a @ a.conj().T - a.conj().T @ a
-        expected = np.diag([1.0] * (n - 1) + [1.0 - n])
-        np.testing.assert_allclose(comm, expected, atol=1e-13)
 
 
 def test_switching_profile_frozen_values():
@@ -158,15 +145,14 @@ def test_switching_profile_rejections():
 
 def test_config_from_dict_explicit_and_presets():
     cfg = config_from_dict({"n_sites": 3, "frequencies": [1.0, 2.0, 3.0],
-                            "J": 0.5, "eta": 0.1, "gamma": 0.01})
+                            "J": 0.5, "eta": 0.1})
     assert cfg.coupling_phase == pytest.approx(0.1)
-    assert cfg.decay_rate == pytest.approx(0.01)
 
     res = config_from_dict({"n_sites": 4,
                             "frequencies": {"preset": "resonant", "C": 2.0},
                             "J": 0.1})
     np.testing.assert_allclose(res.frequencies, 2.0)
-    assert res.coupling_phase == 0.0 and res.decay_rate == 0.0
+    assert res.coupling_phase == 0.0
 
     sw = config_from_dict({"n_sites": 6,
                            "frequencies": {"preset": "switching", "C": 1.0,
@@ -200,15 +186,19 @@ def test_config_from_dict_rejections():
                           "J": 0.1})  # resonant takes no pair
     with pytest.raises(ConfigError):
         config_from_dict({"n_sites": 1, "frequencies": [1.0], "J": 0.1})
+    # no model reads a loss rate from the array config; loss enters as the
+    # explicit gamma of the open-system calls
+    with pytest.raises(ConfigError, match="gamma"):
+        config_from_dict({"n_sites": 3, "frequencies": [1, 1, 1], "J": 0.1,
+                          "gamma": 0.5})
 
 
 def test_config_roundtrip():
     cfg = config_from_dict({"n_sites": 6,
                             "frequencies": {"preset": "switching", "C": 1.0,
                                             "m": 2, "n": 4},
-                            "J": 0.0013, "eta": -0.4, "gamma": 1e-4})
+                            "J": 0.0013, "eta": -0.4})
     again = config_from_dict(config_to_dict(cfg))
     np.testing.assert_allclose(again.frequencies, cfg.frequencies, rtol=1e-15)
     assert again.coupling_scale == cfg.coupling_scale
     assert again.coupling_phase == cfg.coupling_phase
-    assert again.decay_rate == cfg.decay_rate

@@ -283,14 +283,12 @@ def test_plan_from_dict_rejects_corruption(plan_24):
         TransferPlan.from_dict(data)
 
 
-def test_plan_config_carries_phase_and_decay(plan_24):
+def test_plan_config_carries_frequencies_and_phase(plan_24):
     cfg = plan_config(plan_24)
     assert cfg.coupling_phase == pytest.approx(plan_24.eta_star)
-    assert cfg.decay_rate == 0.0
     np.testing.assert_array_equal(cfg.frequencies, plan_24.frequencies)
-    custom = plan_config(plan_24, eta=0.0, gamma=1e-4)
+    custom = plan_config(plan_24, eta=0.0)
     assert custom.coupling_phase == 0.0
-    assert custom.decay_rate == pytest.approx(1e-4)
 
 
 def test_qubit_curve_rejects_unnormalized_state(plan_24):
