@@ -168,17 +168,30 @@ def _json_document(payload: dict) -> str:
     return _dumps(payload, indent=2) + "\n"
 
 
+def _csv_text(cell: str) -> str:
+    """A text cell as csv.writer's minimal quoting writes it: quoted, with
+    inner quotes doubled, when it holds a comma, a quote or a line break."""
+    if any(ch in cell for ch in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def write_table(path: str | None, fmt: str, metadata: dict, columns: dict) -> None:
     """Emit a table given column-major: `columns` maps each name to a 1-d
     array or list, all of one length.
 
     Cells are the Python values of the columns: CSV writes str(cell), the
-    shortest round-trip text, so integer columns stay integers.
+    shortest round-trip text, so integer columns stay integers. Numbers hold
+    no comma; text cells are quoted as csv.writer quotes them, so any CSV
+    reader gets one field per column.
     """
-    cells = [np.asarray(c).tolist() for c in columns.values()]
+    arrays = [np.asarray(c) for c in columns.values()]
+    cells = [a.tolist() for a in arrays]
     if fmt == "csv":
-        lines = ["# " + _dumps(metadata), ",".join(columns)]
-        lines += [",".join(map(str, row)) for row in zip(*cells)]
+        quoted = [list(map(_csv_text, col)) if a.dtype.kind == "U" else col
+                  for a, col in zip(arrays, cells)]
+        lines = ["# " + _dumps(metadata), ",".join(map(_csv_text, columns))]
+        lines += [",".join(map(str, row)) for row in zip(*quoted)]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         text = _json_document({"metadata": metadata, "columns": list(columns),

@@ -9,15 +9,16 @@ is derived directly from the full Lindblad form; the single-mode closed form
 and the gamma = 0 limit pin it in the tests.
 
 Integration is classical fixed-step RK4. For a linear time-independent
-equation one RK4 step is the constant linear map
-M = 1 + A + A^2/2 + A^3/6 + A^4/24 with A = dt*L (the four-stage form
-telescopes to exactly this), so k steps are M^k, which every run computes
-blockwise with np.linalg.matrix_power: the same map evaluated in fewer
-multiplications, not a different integrator. The full generator is
-trace-free, so M keeps the trace exactly and the vacuum population after k
-steps is rho00(0) + tr rho_ss(0) - tr rho_ss(k), the RK4 value itself.
-Every run can be verified by step halving, and subspace invariants (trace,
-Hermiticity, positivity) are checked at checkpoints throughout.
+equation one RK4 step is the polynomial map R(dt*L) with
+R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (the four-stage form telescopes to
+exactly this). In the eigenbasis of H every site-block and vacuum-site
+entry is its own eigenmode of L, so k steps multiply each mode by
+R(dt*mu)^k: the same map evaluated per eigenmode, not a different
+integrator. The full generator is trace-free, so the RK4 map keeps the
+trace exactly and the vacuum population after k steps is
+rho00(0) + tr rho_ss(0) - tr rho_ss(k), the RK4 value itself. Every run is
+verified by step halving, and subspace invariants (trace, Hermiticity,
+positivity) are checked at checkpoint times throughout.
 
 The dissipation study does not integrate: with jumps |vac><k| only, the
 evolution of a single excitation factorizes exactly (no-jump picture), and
@@ -53,6 +54,7 @@ _TRACE_TOL = 1e-8
 _HERM_TOL = 1e-10
 _POS_TOL = 1e-8
 _STEP_AGREEMENT = 1e-8
+_CHECKPOINT_COUNT = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,58 +147,42 @@ def lindblad_rhs(rho, hamiltonian, gamma: float) -> np.ndarray:
     return out
 
 
-def _rk4_step_matrix(a: np.ndarray) -> np.ndarray:
-    """M = 1 + A + A^2/2 + A^3/6 + A^4/24: one classical RK4 step for
-    x' = Lx with A = dt*L."""
-    eye = np.eye(a.shape[0], dtype=complex)
-    a2 = a @ a
-    a3 = a2 @ a
-    return eye + a + a2 / 2.0 + a3 / 6.0 + (a3 @ a) / 24.0
+def _rk4_factor(z: np.ndarray) -> np.ndarray:
+    """R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: one classical RK4 step of
+    x' = mu x with z = dt*mu."""
+    return 1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
 
 
-class _Stepper:
-    """RK4 steps of the subspace-reduced Lindblad equation, in blocks.
+def _rk4_flow(h: HamiltonianMatrix, gamma: float, rho: np.ndarray):
+    """k RK4 steps of size dt from rho, as a function of (dt, k).
 
-    State layout: (rho00 scalar, vacuum-site row v (length N), vec of the
-    N x N site-site block). The equation is block triangular: v and the
-    site block each evolve under their own step matrix, powered to the step
-    count. The full generator is trace-free, so the full RK4 map keeps the
-    trace exactly and rho00 is whatever the site block lost; this
-    reproduces the full-space RK4 steps to rounding (asserted in the tests).
+    In the eigenbasis H = V diag(lambda) V^dag the site block rotates mode
+    by mode: entry (j, k) of V^dag rho_ss V obeys x' = mu_jk x with
+    mu_jk = -i(lambda_j - lambda_k) - gamma, and component k of the
+    vacuum-site row v V has mu_k = i lambda_k - gamma/2. The RK4 map of a
+    linear equation is the polynomial R(dt*L), so k steps multiply each mode
+    by R(dt*mu)^k exactly. The full generator is trace-free, so the full RK4
+    map keeps the trace and rho00 is whatever the site block lost.
     """
+    spec = decompose(h)
+    lam, vec = spec.eigenvalues, spec.eigenvectors
+    mu_ss = -1j * (lam[:, None] - lam[None, :]) - gamma
+    mu_v = 1j * lam - 0.5 * gamma
+    ss0 = vec.conj().T @ rho[1:, 1:] @ vec
+    v0 = rho[0, 1:] @ vec
+    total = rho[0, 0] + np.trace(rho[1:, 1:])
 
-    def __init__(self, h: np.ndarray, gamma: float, dt: float):
-        n = h.shape[0]
-        self.n = n
-        eye_n = np.eye(n, dtype=complex)
-        # site-site generator on row-major vec: -i(H ox 1 - 1 ox H^T) - gamma
-        l_ss = -1j * (np.kron(h, eye_n) - np.kron(eye_n, h.T)) - gamma * np.eye(n * n)
-        self.m_ss = _rk4_step_matrix(dt * l_ss)
-        # vacuum-site column form: dv/dt = i H^T v - gamma/2 v
-        self.m_v = _rk4_step_matrix(dt * (1j * h.T - 0.5 * gamma * eye_n))
+    def after(dt: float, n_steps: int) -> np.ndarray:
+        ss = vec @ (ss0 * _rk4_factor(dt * mu_ss) ** n_steps) @ vec.conj().T
+        v = (v0 * _rk4_factor(dt * mu_v) ** n_steps) @ vec.conj().T
+        out = np.empty_like(rho)
+        out[0, 0] = total - np.trace(ss)
+        out[0, 1:] = v
+        out[1:, 0] = np.conj(v)
+        out[1:, 1:] = ss
+        return out
 
-    def split(self, rho: np.ndarray):
-        return (
-            complex(rho[0, 0]),
-            rho[0, 1:].astype(complex),
-            rho[1:, 1:].reshape(-1).astype(complex),
-        )
-
-    def join(self, rho00: complex, v: np.ndarray, ss_vec: np.ndarray) -> np.ndarray:
-        n = self.n
-        rho = np.empty((n + 1, n + 1), dtype=complex)
-        rho[0, 0] = rho00
-        rho[0, 1:] = v
-        rho[1:, 0] = np.conj(v)
-        rho[1:, 1:] = ss_vec.reshape(n, n)
-        return rho
-
-    def advance(self, rho00, v, ss_vec, n_steps: int):
-        """State after n_steps RK4 steps."""
-        new_ss = np.linalg.matrix_power(self.m_ss, n_steps) @ ss_vec
-        diag = slice(None, None, self.n + 1)
-        new00 = rho00 + ss_vec[diag].sum() - new_ss[diag].sum()
-        return new00, np.linalg.matrix_power(self.m_v, n_steps) @ v, new_ss
+    return after
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,8 +190,8 @@ class MasterRun:
     """Result of integrate_master: final state plus checkpoint trail.
 
     times/states hold the checkpoint samples (including the final state);
-    step_defect is max|rho(dt) - rho(dt/2)| at t_end when the halving check
-    ran, and converged is True only in that case.
+    step_defect is max|rho(dt) - rho(dt/2)| at t_end. Every returned run
+    passed that check, so converged is always True.
     """
 
     final: DensityMatrix
@@ -217,24 +203,16 @@ class MasterRun:
     converged: bool
 
 
-def _checkpoint_counts(n_steps: int, n_checks: int) -> list[int]:
-    counts = sorted({max(1, round(n_steps * i / n_checks)) for i in range(1, n_checks + 1)})
-    if counts[-1] != n_steps:
-        counts.append(n_steps)
-    return counts
-
-
 def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
-                     t_end: float, dt: float, *, check_step: bool = True,
-                     checkpoints: int = 16) -> MasterRun:
+                     t_end: float, dt: float) -> MasterRun:
     """Propagate rho0 for t_end under uniform loss gamma with RK4 steps <= dt.
 
     The step is shrunk slightly so an integer number of steps lands exactly
-    on t_end. Subspace invariants (trace 1e-8, Hermiticity 1e-10, smallest
-    eigenvalue >= -1e-8) are enforced at `checkpoints` evenly spaced times;
-    a violation aborts with the measured defect (step too large). With
-    check_step the whole run is repeated at dt/2 and the final states must
-    agree to 1e-8, which is what the converged tag means.
+    on t_end. The Hamiltonian must be Hermitian tridiagonal (ConfigError
+    otherwise). Subspace invariants (trace 1e-8, Hermiticity 1e-10, smallest
+    eigenvalue >= -1e-8) are enforced at 16 evenly spaced checkpoint times; a
+    violation aborts with the measured defect (step too large). The run is
+    repeated at dt/2 and the final states must agree to 1e-8.
     """
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(np.asarray(rho0))
@@ -247,58 +225,46 @@ def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
     dt = float(dt)
     if not math.isfinite(dt) or dt <= 0.0:
         raise ConfigError(f"dt must be > 0, got {dt!r}")
-    h = _site_block(hamiltonian)
-    if rho0.matrix.shape[0] != h.shape[0] + 1:
+    h = HamiltonianMatrix(getattr(hamiltonian, "matrix", hamiltonian))
+    if rho0.matrix.shape[0] != h.dim + 1:
         raise ConfigError(
             f"density matrix shape {rho0.matrix.shape} does not match "
-            f"{h.shape[0]} sites"
+            f"{h.dim} sites"
         )
     rho0.validate("in initial state")
     if t_end == 0.0:
-        return MasterRun(rho0, np.zeros(1), (rho0,), dt, 0,
-                         0.0, True)
+        return MasterRun(rho0, np.zeros(1), (rho0,), dt, 0, 0.0, True)
 
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
     dt_eff = t_end / n_steps
-    stepper = _Stepper(h, gamma, dt_eff)
-    start = stepper.split(rho0.matrix)
+    after = _rk4_flow(h, gamma, rho0.matrix)
 
-    times = []
+    counts = sorted({max(1, round(n_steps * i / _CHECKPOINT_COUNT))
+                     for i in range(1, _CHECKPOINT_COUNT + 1)})
     states = []
-    prev = 0
-    cur = start
-    for count in _checkpoint_counts(n_steps, checkpoints):
-        cur = stepper.advance(*cur, count - prev)
-        prev = count
+    for count in counts:
         t_here = count * dt_eff
-        full = stepper.join(*cur)
+        full = after(dt_eff, count)
         herm = float(np.max(np.abs(full - full.conj().T)))
-        if herm > _HERM_TOL:
+        if not herm <= _HERM_TOL:
             raise NumericalInvariantError(
                 f"Hermiticity defect {herm:.3e} exceeds {_HERM_TOL:.0e} at "
                 f"t = {t_here:.6g} (step too large)"
             )
         state = DensityMatrix(full)
         state.validate(f"at t = {t_here:.6g} (step too large)")
-        times.append(t_here)
         states.append(state)
 
-    step_defect = 0.0
-    converged = False
-    if check_step:
-        half = _Stepper(h, gamma, dt_eff / 2.0)
-        fin = half.advance(*start, 2 * n_steps)
-        step_defect = float(np.max(np.abs(half.join(*fin) - states[-1].matrix)))
-        if step_defect > _STEP_AGREEMENT:
-            raise NumericalInvariantError(
-                f"step-halving defect {step_defect:.3e} exceeds "
-                f"{_STEP_AGREEMENT:.0e}: dt = {dt_eff:.3e} too large for "
-                f"t_end = {t_end:.6g}"
-            )
-        converged = True
-
-    return MasterRun(states[-1], np.asarray(times), tuple(states),
-                     dt_eff, n_steps, step_defect, converged)
+    step_defect = float(np.max(np.abs(after(dt_eff / 2.0, 2 * n_steps)
+                                      - states[-1].matrix)))
+    if not step_defect <= _STEP_AGREEMENT:
+        raise NumericalInvariantError(
+            f"step-halving defect {step_defect:.3e} exceeds "
+            f"{_STEP_AGREEMENT:.0e}: dt = {dt_eff:.3e} too large for "
+            f"t_end = {t_end:.6g}"
+        )
+    return MasterRun(states[-1], np.asarray(counts) * dt_eff, tuple(states),
+                     dt_eff, n_steps, step_defect, True)
 
 
 def state_fidelity(rho: DensityMatrix, target: ExcitationState) -> float:
@@ -344,8 +310,8 @@ def reference_qubit_states() -> tuple[np.ndarray, np.ndarray]:
 class FidelityCurve:
     """Averaged transfer fidelity against gamma/J for one plan.
 
-    converged is always True: the cells come from the exact factorization,
-    which has no step size to converge.
+    The cells come from the exact no-jump factorization, so there is no
+    step size and nothing to converge.
     """
 
     gamma_over_J: np.ndarray
@@ -354,7 +320,6 @@ class FidelityCurve:
     samples: int
     transfer_time: float
     seed: object
-    converged: bool
 
 
 def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, samples: int,
@@ -416,4 +381,4 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, samples: int,
     results = [score_cell(g) for g in gammas.tolist()]
     means = np.array([r[0] for r in results])
     errs = np.array([r[1] for r in results])
-    return FidelityCurve(gammas, means, errs, n_samp, t_star, seed, True)
+    return FidelityCurve(gammas, means, errs, n_samp, t_star, seed)

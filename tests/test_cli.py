@@ -1,5 +1,7 @@
 """CLI surface: presets, output stability, exit codes, metadata provenance."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,9 @@ import numpy as np
 import pytest
 
 import gfsim
-from gfsim.cli import main
+from gfsim.cli import main, write_table
 from gfsim.model import config_from_dict
+from gfsim.protocol import make_plan
 
 from conftest import read_csv_output
 
@@ -92,12 +95,39 @@ def test_csv_and_json_agree(tmp_path):
             assert json.loads(header[2:]) == payload["metadata"], name
             if name == "plan":
                 assert head == "field,value"
-                fields = dict(line.split(",", 1) for line in lines)
+                fields = dict(csv.reader(lines))
                 assert {k: json.loads(v) for k, v in fields.items()} == payload["plan"]
                 continue
             # the same cells, text for text: integer columns stay integers
             assert head.split(",") == payload["columns"], name
             assert lines == [",".join(map(str, row)) for row in payload["rows"]], name
+
+
+def test_plan_csv_parses_with_csv_reader(capsys):
+    # list-valued fields hold commas, so they must be quoted: every row reads
+    # back as exactly (field, value) with the plan's JSON value
+    assert run_cli(["plan", "--preset", "fig3b", "--format", "csv"]) == 0
+    header, *body = capsys.readouterr().out.splitlines()
+    rows = list(csv.reader(body))
+    assert rows[0] == ["field", "value"]
+    expected = make_plan(config_from_dict(json.loads(header[2:])["config"]),
+                         2, 4).to_dict()
+    assert [field for field, *_ in rows[1:]] == sorted(expected)
+    for row in rows[1:]:
+        assert len(row) == 2, row
+        assert json.loads(row[1]) == expected[row[0]], row
+
+
+def test_csv_cells_are_quoted_like_csv_writer(capsys):
+    # the writer's quoting is held to the csv module's own minimal quoting
+    columns = {"site": [1, 2, 3, 4], "x": [0.5, -1e-300, 2.0, 3.25],
+               "note": ["plain", "a,b", 'say "hi"', "[1.0, 2.0]"]}
+    write_table(None, "csv", {}, columns)
+    header, *body = capsys.readouterr().out.splitlines(keepends=True)
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(
+        [list(columns), *zip(*columns.values())])
+    assert "".join(body) == expected.getvalue()
 
 
 def test_spectrum_shows_switching_degeneracy(tmp_path):
