@@ -6,7 +6,9 @@ Each output embeds a one-line JSON metadata comment carrying the resolved
 config, seed, tool version and every assumed parameter, so any file can be
 regenerated from its own header. Outputs contain no timestamps: rerunning
 with the same flags and seed is bit-identical. Files are written atomically
-(temp file in the target directory, then rename).
+(temp file in the target directory, then rename) and get the mode the umask
+gives a new file. The parser is built once per process, so repeated
+in-process main() calls pay for argparse only once.
 
 Exit codes: 0 success, 2 config error, 3 physics-regime refusal (doublet
 unresolved, closed form inapplicable), 4 numerical-invariant violation.
@@ -15,11 +17,11 @@ unresolved, closed form inapplicable), 4 numerical-invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -130,11 +132,18 @@ class ResolvedExperiment:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path)) or "."
-    try:
-        fd, tmp = tempfile.mkstemp(dir=parent, prefix=".gfsim-", suffix=".tmp")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    # the temp file is created 0o666 less the umask, as open() would create
+    # the target; mkstemp's fixed 0o600 would survive the rename
+    parent = os.path.dirname(os.path.abspath(path))
+    while True:
+        tmp = os.path.join(parent, f".gfsim-{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -181,17 +190,20 @@ def write_table(path: str | None, fmt: str, metadata: dict, columns: dict) -> No
     array or list, all of one length.
 
     Cells are the Python values of the columns: CSV writes str(cell), the
-    shortest round-trip text, so integer columns stay integers. Numbers hold
-    no comma; text cells are quoted as csv.writer quotes them, so any CSV
-    reader gets one field per column.
+    shortest round-trip text, so integer columns stay integers. A numeric
+    column is formatted by one repr of its list, split at ", ": each item of
+    repr(list) is repr(cell), which equals str(cell) for every int and float
+    (nan and inf included). Numbers hold no comma; text cells are quoted as
+    csv.writer quotes them, so any CSV reader gets one field per column.
     """
     arrays = [np.asarray(c) for c in columns.values()]
     cells = [a.tolist() for a in arrays]
     if fmt == "csv":
-        quoted = [list(map(_csv_text, col)) if a.dtype.kind == "U" else col
-                  for a, col in zip(arrays, cells)]
+        texts = [list(map(_csv_text, col)) if a.dtype.kind == "U"
+                 else repr(col)[1:-1].split(", ") if col else []
+                 for a, col in zip(arrays, cells)]
         lines = ["# " + _dumps(metadata), ",".join(map(_csv_text, columns))]
-        lines += [",".join(map(str, row)) for row in zip(*quoted)]
+        lines += map(",".join, zip(*texts))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         text = _json_document({"metadata": metadata, "columns": list(columns),
@@ -236,7 +248,10 @@ def _parse_complex(text: str, flag: str) -> complex:
         raise ConfigError(f"{flag} must be a complex literal, got {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gfsim parser, built on first use and shared by every later call:
+    parse_args leaves it unchanged and returns a fresh Namespace each time."""
     parser = argparse.ArgumentParser(
         prog="gfsim",
         description="Photon transport and state transfer in a square-root-coupled cavity array",

@@ -368,17 +368,17 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, samples: int,
     a2 = np.abs(alpha) ** 2
     b2 = np.abs(beta) ** 2
 
-    def score_cell(g_over_j: float):
-        gamma_t = g_over_j * plan.coupling_scale * t_star
-        rho00 = a2 - b2 * math.expm1(-gamma_t)
-        fids = (a2 * rho00
-                + 2.0 * a2 * b2 * math.exp(-0.5 * gamma_t) * a.real
-                + b2 * b2 * math.exp(-gamma_t) * abs(a) ** 2)
-        mean = float(np.mean(fids))
-        err = 0.0 if n_samp < 2 else float(np.std(fids, ddof=1) / math.sqrt(n_samp))
-        return mean, err
-
-    results = [score_cell(g) for g in gammas.tolist()]
-    means = np.array([r[0] for r in results])
-    errs = np.array([r[1] for r in results])
+    # one (cells x samples) array; the per-cell damping factors come from
+    # math as column vectors, so every element is the scalar formula's float
+    gamma_t = [g * plan.coupling_scale * t_star for g in gammas.tolist()]
+    lost = np.array([[math.expm1(-x)] for x in gamma_t])
+    half = np.array([[math.exp(-0.5 * x)] for x in gamma_t])
+    full = np.array([[math.exp(-x)] for x in gamma_t])
+    rho00 = a2 - b2 * lost
+    fids = (a2 * rho00
+            + 2.0 * a2 * b2 * half * a.real
+            + b2 * b2 * full * abs(a) ** 2)
+    means = np.mean(fids, axis=1)
+    errs = np.zeros(len(gamma_t)) if n_samp < 2 \
+        else np.std(fids, axis=1, ddof=1) / math.sqrt(n_samp)
     return FidelityCurve(gammas, means, errs, n_samp, t_star, seed)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gfsim
-from gfsim.cli import main, write_table
+from gfsim.cli import build_parser, main, write_table
 from gfsim.model import config_from_dict
 from gfsim.protocol import make_plan
 
@@ -128,6 +128,66 @@ def test_csv_cells_are_quoted_like_csv_writer(capsys):
     csv.writer(expected, lineterminator="\n").writerows(
         [list(columns), *zip(*columns.values())])
     assert "".join(body) == expected.getvalue()
+
+
+def test_numeric_csv_cells_are_str_of_each_cell(capsys):
+    # each numeric column is formatted by one repr of its list; every cell
+    # must still read as str() of its own Python value
+    floats = [-0.0, 5e-324, 1e-300, 1e16, 123456789.12345679,
+              float("nan"), float("inf"), -float("inf")]
+    columns = {
+        "x": np.array(floats),
+        "big": np.array([2 ** 53 + 1, -(2 ** 62) - 3, 2 ** 63 - 1, -(2 ** 63),
+                         0, -1, 2 ** 53, 9007199254740993], dtype=np.int64),
+        # cmd_resonant_walk passes a list of np.float64 scalars
+        "dev": [np.float64(v) for v in (0.1, 1 / 3, 2.5e-17, 7.0, 1e22, -1e-5,
+                                        np.pi, 1e-7)],
+    }
+    write_table(None, "csv", {}, columns)
+    _, header, *body = capsys.readouterr().out.splitlines()
+    assert header == "x,big,dev"
+    reference = [[str(cell) for cell in np.asarray(col).tolist()]
+                 for col in columns.values()]
+    assert body == [",".join(row) for row in zip(*reference)]
+    assert body[0].split(",")[0] == "-0.0"
+    assert body[1].split(",")[:2] == ["5e-324", "-4611686018427387907"]
+
+    # a zero-row table is the metadata line and the header line, nothing else
+    write_table(None, "csv", {"k": 1}, {"a": np.array([]), "b": [], "c": np.arange(0)})
+    assert capsys.readouterr().out == '# {"k": 1}\na,b,c\n'
+
+
+def test_output_file_mode_follows_umask(tmp_path):
+    # the file gets 0o666 less the umask, as open() would give it, also when
+    # it replaces an existing file of another mode
+    out = tmp_path / "fig2.csv"
+    out.write_text("old")
+    out.chmod(0o600)
+    old = os.umask(0o022)
+    try:
+        assert run_cli(["spectrum", "--preset", "fig2", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["fig2.csv"]
+
+
+def test_reused_parser_leaks_no_state(tmp_path):
+    # main() shares one parser across calls: an earlier error or a non-default
+    # flag must not carry over into the next call
+    assert build_parser() is build_parser()
+    assert run_cli(["qubit", "--pre", "fig4", "--al", "0.6"]) == 2
+    argv = ["dissipation", "--preset", "fig5", "--seed", "3"]
+    fixed, again, fresh = (tmp_path / d for d in ("fixed", "again", "fresh"))
+    run_to_dir(argv + ["--states", "fixed4"], fixed)
+    files = run_to_dir(argv, again)
+    for text in files.values():
+        assert json.loads(text.splitlines()[0][2:])["states"] == "haar"
+    fresh.mkdir()
+    result = run_child("-m", "gfsim", *argv, "--format", "csv",
+                       "--out", str(fresh / "out.csv"))
+    assert result.returncode == 0, result.stderr
+    assert files == {p.name: p.read_text() for p in sorted(fresh.iterdir())}
 
 
 def test_spectrum_shows_switching_degeneracy(tmp_path):

@@ -17,7 +17,8 @@ from scipy.linalg import expm
 from gfsim.errors import ConfigError, NumericalInvariantError
 from gfsim.model import ArrayConfig, build_hamiltonian, switching_frequencies
 from gfsim.protocol import make_plan, plan_config
-from gfsim.dynamics import decompose, evolve, qubit_state, single_photon_state
+from gfsim.dynamics import decompose, evolve, qubit_state, single_photon_state, \
+    transfer_amplitude
 from gfsim.open_system import (
     DensityMatrix,
     average_transfer_fidelity,
@@ -392,6 +393,49 @@ class TestAveragedFidelityStudy:
         with pytest.raises(ConfigError):
             average_transfer_fidelity(plan_13, np.array([1e-3]), 2, 1,
                                       states=bad)
+
+
+def per_cell_scores(plan, gammas, alpha, beta):
+    """Mean and stderr cell by cell with scalar math factors: the scalar
+    formula the broadcast in average_transfer_fidelity must reproduce bit
+    for bit."""
+    t_star = plan.transfer_time
+    spec = decompose(build_hamiltonian(plan_config(plan)))
+    a = transfer_amplitude(plan.source, plan.target, spec, t_star)
+    a2, b2 = np.abs(alpha) ** 2, np.abs(beta) ** 2
+    n_samp = len(a2)
+    means, errs = [], []
+    for g_over_j in gammas.tolist():
+        gamma_t = g_over_j * plan.coupling_scale * t_star
+        rho00 = a2 - b2 * math.expm1(-gamma_t)
+        fids = (a2 * rho00
+                + 2.0 * a2 * b2 * math.exp(-0.5 * gamma_t) * a.real
+                + b2 * b2 * math.exp(-gamma_t) * abs(a) ** 2)
+        means.append(float(np.mean(fids)))
+        errs.append(0.0 if n_samp < 2
+                    else float(np.std(fids, ddof=1) / math.sqrt(n_samp)))
+    return np.array(means), np.array(errs)
+
+
+@pytest.mark.parametrize("ensemble", ["haar200", "reference4", "single"])
+def test_broadcast_scoring_equals_per_cell_formula(plan_13, ensemble):
+    grid = np.concatenate([[0.0], np.logspace(-3.0, 0.0, 25)])
+    if ensemble == "haar200":
+        samples, states = 200, None
+        alpha, beta = sample_qubit_states(200, 1)
+    elif ensemble == "reference4":
+        states = reference_qubit_states()
+        alpha, beta = states
+        samples = len(alpha)
+    else:
+        samples, states = 1, None
+        alpha, beta = sample_qubit_states(1, 1)
+    curve = average_transfer_fidelity(plan_13, grid, samples, 1, states=states)
+    means, errs = per_cell_scores(plan_13, grid, alpha, beta)
+    assert np.array_equal(curve.mean_fidelity, means)
+    assert np.array_equal(curve.stderr, errs)
+    if samples == 1:
+        assert not np.any(curve.stderr)
 
 
 def test_exact_loss_path_matches_integrator_oracle():
