@@ -183,7 +183,11 @@ def transfer_amplitude(initial_site: int, target_site: int,
         raise ConfigError("times must be finite")
     v = spec.eigenvectors
     weights = v[target_site - 1, :] * np.conj(v[initial_site - 1, :])
-    amps = np.exp(-1j * np.outer(t_arr.ravel(), spec.eigenvalues)) @ weights
+    # einsum, not a BLAS mat-vec: the sum runs in one thread and in one
+    # order whatever the BLAS build or its thread count
+    amps = np.einsum("tk,k->t",
+                     np.exp(-1j * np.outer(t_arr.ravel(), spec.eigenvalues)),
+                     weights)
     if t_arr.ndim == 0:
         return complex(amps[0])
     return amps.reshape(t_arr.shape)

@@ -319,10 +319,10 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
 
     The template supplies n_sites, coupling_scale and the base frequency
     (its first entry); the parabolic profile for the requested pair replaces
-    the template's own frequencies, and the template's bond phase and decay
-    rate are ignored (the plan computes its own eta_star; loss is applied
-    by open_system at run time). m > n is allowed and plans the reverse
-    transfer over the same profile.
+    the template's own frequencies, and the template's bond phase is ignored
+    (the plan computes its own eta_star; loss is applied by open_system at
+    run time). m > n is allowed and plans the reverse transfer over the same
+    profile.
 
     The doublet comes from exact partitioning onto {m, n} (module
     docstring), so theta, purity and predicted_peak do not depend on the

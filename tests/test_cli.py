@@ -12,7 +12,7 @@ import pytest
 
 import gfsim
 from gfsim.cli import build_parser, main, write_table
-from gfsim.model import config_from_dict
+from gfsim.model import config_from_dict, wrap_phase
 from gfsim.protocol import make_plan
 
 from conftest import read_csv_output
@@ -350,13 +350,24 @@ def test_eta_override_changes_qubit_outcome(tmp_path):
     assert right["fidelity_at_transfer_time"] > 0.99
 
 
-def run_child(*args):
+def test_eta_override_records_the_wrapped_phase(tmp_path):
+    # --eta 7 runs at wrap(7) = 7 - 2 pi on both commands, and that is what
+    # their metadata must say
+    for argv in (["transfer", "--preset", "fig3b"], ["qubit", "--preset", "fig4"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert run_cli([*argv, "--eta", "7", "--out", str(out)]) == 0
+        meta, _, _ = read_csv_output(out)
+        assert meta["eta_used"] == wrap_phase(7.0)
+
+
+def run_child(*args, env=None):
     # a fresh interpreter on the package this test imported (pytest's
     # pythonpath does not reach a child process)
     package_root = os.path.dirname(os.path.dirname(gfsim.__file__))
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+                          timeout=120,
+                          env={**os.environ, **(env or {}), "PYTHONPATH": path})
 
 
 def test_console_entry_point_subprocess(tmp_path):
@@ -367,6 +378,20 @@ def test_console_entry_point_subprocess(tmp_path):
     assert lines[0].startswith("# ")
     assert lines[1].split(",")[0] == "site"
     assert len(lines) == 12
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the same run under one and two BLAS threads writes the same file
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fig4_{threads}.csv"
+        env = {name: threads for name in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        result = run_child("-m", "gfsim", "qubit", "--preset", "fig4",
+                           "--out", str(out), env=env)
+        assert result.returncode == 0, result.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_import_does_not_load_scipy():

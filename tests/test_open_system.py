@@ -149,6 +149,50 @@ def test_thousand_steps_equal_repeated_explicit_steps():
     assert np.max(np.abs(run.final.matrix - loop)) <= 1e-12
 
 
+def explicit_checkpoints(rho, h, gamma, dt, counts):
+    """States after counts[i] explicit RK4 steps of size dt, one step loop."""
+    states, k = [], 0
+    for count in counts:
+        while k < count:
+            rho = explicit_rk4_step(rho, h, gamma, dt)
+            k += 1
+        states.append(rho)
+    return states
+
+
+def checkpoint_run():
+    rng = np.random.default_rng(43)
+    cfg = ArrayConfig(4, rng.uniform(-1, 1, 4), 0.35, coupling_phase=0.9)
+    h = build_hamiltonian(cfg)
+    rho = random_density(rng, 5)
+    gamma, dt = 0.08, 0.02
+    return rho, h, gamma, dt, integrate_master(rho, h, gamma, 32 * dt, dt)
+
+
+def test_checkpoint_states_equal_explicit_steps():
+    # 32 steps give the counts 2, 4, ..., 32: every row of the batched
+    # evaluation must be the state after that many steps, in that order
+    rho, h, gamma, dt, run = checkpoint_run()
+    assert run.n_steps == 32 and run.dt == dt
+    counts = np.arange(2, 33, 2)
+    np.testing.assert_allclose(run.times, counts * dt, rtol=1e-15)
+    explicit = explicit_checkpoints(rho, h, gamma, dt, counts)
+    assert len(run.states) == len(explicit)
+    for state, want in zip(run.states, explicit):
+        assert np.max(np.abs(state.matrix - want)) <= 1e-13
+    assert run.final is run.states[-1]
+
+
+def test_step_defect_equals_explicit_halving():
+    rho, h, gamma, dt, run = checkpoint_run()
+    coarse = explicit_checkpoints(rho, h, gamma, dt, [32])[0]
+    fine = explicit_checkpoints(rho, h, gamma, dt / 2.0, [64])[0]
+    defect = float(np.max(np.abs(coarse - fine)))
+    assert 1e-12 < run.step_defect <= 1e-8
+    # each side carries ~1e-15 of rounding (the state test above)
+    assert abs(run.step_defect - defect) <= 1e-14
+
+
 def test_integrator_matches_dense_superoperator_expm():
     # shares nothing with decompose: the (N+1)^2-dim Lindblad superoperator is
     # assembled column by column from dense_lindblad and exponentiated by
@@ -259,9 +303,32 @@ def test_integrator_flags_too_coarse_steps():
     with pytest.raises(NumericalInvariantError):
         integrate_master(rho0, h, 0.1, 40.0, 1.3)
     # outside RK4's stability region the modes overflow: still a numerical
-    # refusal (exit 4), not a complaint about the input
-    with pytest.raises(NumericalInvariantError):
+    # refusal (exit 4), not a complaint about the input, and it names the
+    # first checkpoint (2083 of 33334 steps), where the run already fails
+    t_first = 2083 * (1e5 / 33334)
+    with pytest.raises(NumericalInvariantError, match=f"at t = {t_first:.6g} "):
         integrate_master(rho0, h, 0.1, 1e5, 3.0)
+
+
+def test_integrator_names_the_earliest_failing_checkpoint():
+    # Two sites, no loss: the only moving mode is the coherence between the
+    # two eigenstates (splitting 1), and just past RK4's stability edge
+    # y = dt * 1 > 2 sqrt 2 one step multiplies it by |R(iy)| = g > 1. From
+    # |1><1| the smallest eigenvalue after k steps is -(g^k - 1)/2, so with
+    # ln g = 2e-8 / 7.5 checkpoints k = 1..7 stay inside the -1e-8 bound and
+    # k = 8 is the first one out; the later ones fail too.
+    h = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+    rho0 = DensityMatrix.from_state(single_photon_state(2, 1))
+    log_g = 2e-8 / 7.5
+    # |R(iy)|^2 = 1 + (y^6 / 72)(y^2 / 8 - 1), to first order past y^2 = 8
+    dt = math.sqrt(8.0 * (1.0 + 2.0 * log_g * 72.0 / 512.0))
+    lowest = [DensityMatrix(m).min_eigenvalue() for m in
+              explicit_checkpoints(rho0.matrix, h, 0.0, dt, range(1, 17))]
+    assert all(-1e-8 < ev for ev in lowest[:7])
+    assert all(ev < -1e-8 for ev in lowest[7:])
+    with pytest.raises(NumericalInvariantError,
+                       match=f"negative population.* at t = {8 * dt:.6g} "):
+        integrate_master(rho0, h, 0.0, 16 * dt, dt)
 
 
 def test_integrator_input_validation():
