@@ -27,10 +27,6 @@ __all__ = [
     "truncated_coherent_amplitudes",
 ]
 
-# Below this, e^{-x} is comfortably normal and the direct compensated sum
-# is exact-in-intent; above, everything moves to log space.
-_LOG_SPACE_THRESHOLD = 700.0
-
 
 def _validate_nx(n: int, x: float) -> tuple[int, float]:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
@@ -41,39 +37,28 @@ def _validate_nx(n: int, x: float) -> tuple[int, float]:
     return int(n), x
 
 
-def _term_logs(n: int, x: float) -> np.ndarray:
-    """log(e^{-x} x^j / j!) for j = 0..n-1 (x > 0)."""
+def _log_tail(n: int, x: float) -> tuple[np.ndarray, float]:
+    """(rel, log Q(n, x)) for x > 0, summed in log space: rel[j] is the
+    Poisson term e^{-x} x^j / j! (j < n) over the largest such term."""
     j = np.arange(n, dtype=float)
-    return -x + j * math.log(x) - np.array([math.lgamma(k + 1.0) for k in j])
+    logs = -x + j * math.log(x) - np.array([math.lgamma(k + 1.0) for k in j])
+    peak = float(np.max(logs))
+    rel = np.exp(logs - peak)
+    return rel, peak + math.log(float(np.sum(rel)))
 
 
 def regularized_upper_tail(n: int, x: float) -> float:
     """Probability that a Poisson(x) variate is < n.
 
     Equals e^{-x} * sum_{j=0}^{n-1} x^j/j!, the regularized upper incomplete
-    gamma Q(n, x). Computed by Kahan-compensated partial summation for
-    moderate x and by a log-space sum once e^{-x} underflows; no
-    general-purpose special-function routine is involved (those serve as
-    the independent oracle in the tests).
+    gamma Q(n, x). Summed in log space for every x, so it stays finite
+    where e^{-x} underflows; no general-purpose special-function routine is
+    involved (those serve as the independent oracle in the tests).
     """
     n, x = _validate_nx(n, x)
     if x == 0.0:
         return 1.0
-    if x < _LOG_SPACE_THRESHOLD:
-        term = math.exp(-x)
-        total = 0.0
-        comp = 0.0
-        for j in range(n):
-            if j > 0:
-                term *= x / j
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        return min(total, 1.0)
-    logs = _term_logs(n, x)
-    peak = float(np.max(logs))
-    return float(min(math.exp(peak + math.log(np.sum(np.exp(logs - peak)))), 1.0))
+    return min(math.exp(_log_tail(n, x)[1]), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +105,7 @@ def truncated_coherent_amplitudes(coupling: float, t: float, n_sites: int) -> Tr
         amps[0] = 1.0
         return TruncatedCoherentProfile(0.0, amps, 1.0)
 
-    logs = _term_logs(n, x)
-    peak = float(np.max(logs))
-    rel = np.exp(logs - peak)
-    log_tail = peak + math.log(float(np.sum(rel)))  # log Q(N, x)
+    rel, log_tail = _log_tail(n, x)
     weights = rel / float(np.sum(rel))  # conditioned Poisson, sums to 1 exactly
     amps = phase * np.sqrt(weights)
     normalization = math.exp(-0.5 * x - 0.5 * log_tail)

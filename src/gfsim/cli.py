@@ -314,6 +314,12 @@ def resolve_experiment(args: argparse.Namespace) -> ResolvedExperiment:
     else:
         raise ConfigError("either --preset or --config is required")
     config = config_from_dict(raw)
+    base = float(config.frequencies[0])
+    if not base > 0.0:
+        raise ConfigError(
+            f"the first cavity frequency omega_1 must be > 0, got {base!r}: "
+            "time columns are omega_1 * t"
+        )
     freq_mode, pair = _freq_provenance(raw)
 
     # subcommands without -m/-n take the pair from the config alone

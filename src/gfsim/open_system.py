@@ -19,8 +19,10 @@ trace exactly and the vacuum population after k steps is
 rho00(0) + tr rho_ss(0) - tr rho_ss(k), the RK4 value itself. The 16
 checkpoint states and the dt/2 rerun that verifies the run by step halving
 come out of one batched evaluation: R is computed once per step size and
-raised to every step count at once. Subspace invariants (trace,
-Hermiticity, positivity) are checked on the whole stack of checkpoints.
+raised to every step count at once. One function checks the subspace
+invariants (trace, Hermiticity, positivity) on a stack of states: the
+whole checkpoint stack, which the run returns as one read-only array, or
+a single DensityMatrix.
 
 The dissipation study does not integrate: with jumps |vac><k| only, the
 evolution of a single excitation factorizes exactly (no-jump picture), and
@@ -64,8 +66,8 @@ class DensityMatrix:
     """(N+1) x (N+1) density matrix over {vacuum, sites 1..N}.
 
     Construction enforces shape and Hermiticity (1e-10); trace and
-    positivity are checked by validate(), which the integrator calls at
-    every checkpoint.
+    positivity are checked by validate(), which integrate_master calls on
+    its initial state (its checkpoints are checked as one stack).
     """
 
     matrix: np.ndarray
@@ -101,30 +103,42 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
     def validate(self, context: str = "") -> None:
-        _check_invariants(self.trace_defect(), self.min_eigenvalue(),
-                          context)
+        _check_states(self.matrix[None], lambda i: context)
 
 
-def _check_invariants(trace_defect: float, min_eigenvalue: float,
-                      context: str) -> None:
-    """Trace (1e-8) and positivity (-1e-8) of one state; NaN fails both."""
-    where = f" {context}" if context else ""
-    if not trace_defect <= _TRACE_TOL:
+def _check_states(stack: np.ndarray, where) -> None:
+    """Hermiticity (1e-10), trace (1e-8) and positivity (-1e-8) of every
+    state in a (k, N+1, N+1) stack; the earliest failing row raises, with
+    where(row) naming it in the message.
+
+    Every comparison is `not x <= tol`, so NaN from an overflowing step
+    fails.
+    """
+    herm = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)), axis=(1, 2))
+    trace = np.abs(np.trace(stack, axis1=1, axis2=2).real - 1.0)
+    hermitian = herm <= _HERM_TOL
+    lowest = np.full(stack.shape[0], np.nan)
+    # LAPACK sees only the states that came out finite and Hermitian
+    lowest[hermitian] = np.linalg.eigvalsh(stack[hermitian])[:, 0]
+    failing = np.flatnonzero(~(hermitian & (trace <= _TRACE_TOL)
+                               & (-lowest <= _POS_TOL)))
+    if not failing.size:
+        return
+    i = failing[0]
+    context = where(i)
+    suffix = f" {context}" if context else ""
+    if not hermitian[i]:
         raise NumericalInvariantError(
-            f"trace drift {trace_defect:.3e} exceeds {_TRACE_TOL:.0e}{where}"
+            f"Hermiticity defect {herm[i]:.3e} exceeds {_HERM_TOL:.0e}{suffix}"
         )
-    if not -min_eigenvalue <= _POS_TOL:
+    if not trace[i] <= _TRACE_TOL:
         raise NumericalInvariantError(
-            f"negative population: min eigenvalue {min_eigenvalue:.3e} "
-            f"below -{_POS_TOL:.0e}{where}"
+            f"trace drift {trace[i]:.3e} exceeds {_TRACE_TOL:.0e}{suffix}"
         )
-
-
-def _site_block(hamiltonian) -> np.ndarray:
-    h = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ConfigError(f"Hamiltonian must be square, got shape {h.shape}")
-    return h
+    raise NumericalInvariantError(
+        f"negative population: min eigenvalue {lowest[i]:.3e} "
+        f"below -{_POS_TOL:.0e}{suffix}"
+    )
 
 
 def lindblad_rhs(rho, hamiltonian, gamma: float) -> np.ndarray:
@@ -132,13 +146,14 @@ def lindblad_rhs(rho, hamiltonian, gamma: float) -> np.ndarray:
 
     Site-site block: -i[H, rho] - gamma*rho. Vacuum-site coherences rotate
     under H and decay at gamma/2. Vacuum population gains gamma * (total
-    site population). Returns a plain Hermitian traceless array, not a
-    DensityMatrix (a derivative is not a state).
+    site population). H must be Hermitian tridiagonal, as for
+    integrate_master (ConfigError otherwise). Returns a plain Hermitian
+    traceless array, not a DensityMatrix (a derivative is not a state).
     """
     gamma = float(gamma)
     if not math.isfinite(gamma) or gamma < 0.0:
         raise ConfigError(f"decay rate must be >= 0, got {gamma!r}")
-    h = _site_block(hamiltonian)
+    h = HamiltonianMatrix(getattr(hamiltonian, "matrix", hamiltonian)).matrix
     r = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
     n = h.shape[0]
     if r.shape != (n + 1, n + 1):
@@ -206,14 +221,15 @@ def _rk4_stack(h: HamiltonianMatrix, gamma: float, rho: np.ndarray,
 class MasterRun:
     """Result of integrate_master: final state plus checkpoint trail.
 
-    times/states hold the checkpoint samples (including the final state);
-    step_defect is max|rho(dt) - rho(dt/2)| at t_end. Every returned run
-    passed that check, so converged is always True.
+    times holds the checkpoint times and states the checked checkpoint
+    matrices as one read-only (len(times), N+1, N+1) array, whose last row
+    is final.matrix; step_defect is max|rho(dt) - rho(dt/2)| at t_end.
+    Every returned run passed that check, so converged is always True.
     """
 
     final: DensityMatrix
     times: np.ndarray
-    states: tuple
+    states: np.ndarray
     dt: float
     n_steps: int
     step_defect: float
@@ -252,35 +268,18 @@ def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
         )
     rho0.validate("in initial state")
     if t_end == 0.0:
-        return MasterRun(rho0, np.zeros(1), (rho0,), dt, 0, 0.0, True)
+        return MasterRun(rho0, np.zeros(1), rho0.matrix[None], dt, 0, 0.0,
+                         True)
 
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
     dt_eff = t_end / n_steps
     counts = np.array(sorted({max(1, round(n_steps * i / _CHECKPOINT_COUNT))
                               for i in range(1, _CHECKPOINT_COUNT + 1)}))
+    times = counts * dt_eff
     stack = _rk4_stack(h, gamma, rho0.matrix, dt_eff, counts)
-    checkpoints = stack[:-1]
-
-    # every comparison is `not x <= tol`, so NaN from an overflowing step fails
-    herm = np.max(np.abs(checkpoints - checkpoints.conj().transpose(0, 2, 1)),
-                  axis=(1, 2))
-    trace = np.abs(np.trace(checkpoints, axis1=1, axis2=2).real - 1.0)
-    hermitian = herm <= _HERM_TOL
-    lowest = np.full(counts.shape[0], np.nan)
-    # LAPACK sees only the states that came out finite and Hermitian
-    lowest[hermitian] = np.linalg.eigvalsh(checkpoints[hermitian])[:, 0]
-    failing = np.flatnonzero(~(hermitian & (trace <= _TRACE_TOL)
-                               & (-lowest <= _POS_TOL)))
-    if failing.size:
-        i = failing[0]
-        where = f"at t = {counts[i] * dt_eff:.6g} (step too large)"
-        if not hermitian[i]:
-            raise NumericalInvariantError(
-                f"Hermiticity defect {herm[i]:.3e} exceeds {_HERM_TOL:.0e} "
-                f"{where}"
-            )
-        _check_invariants(trace[i], lowest[i], where)
-    states = tuple(DensityMatrix(m) for m in checkpoints)
+    states = stack[:-1]
+    _check_states(states, lambda i: f"at t = {times[i]:.6g} (step too large)")
+    states.setflags(write=False)
 
     step_defect = float(np.max(np.abs(stack[-1] - stack[-2])))
     if not step_defect <= _STEP_AGREEMENT:
@@ -289,8 +288,8 @@ def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
             f"{_STEP_AGREEMENT:.0e}: dt = {dt_eff:.3e} too large for "
             f"t_end = {t_end:.6g}"
         )
-    return MasterRun(states[-1], counts * dt_eff, states, dt_eff, n_steps,
-                     step_defect, True)
+    return MasterRun(DensityMatrix(states[-1]), times, states, dt_eff,
+                     n_steps, step_defect, True)
 
 
 def state_fidelity(rho: DensityMatrix, target: ExcitationState) -> float:

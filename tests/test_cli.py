@@ -276,7 +276,7 @@ def test_dissipation_fixed_states(tmp_path):
     assert all(r[3] == 4 for r in rows)
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path, capsys):
     # 2: config problems
     assert run_cli(["dissipation", "--preset", "fig5"]) == 2          # no seed
     assert run_cli(["resonant-walk", "--preset", "fig2"]) == 2        # wrong preset
@@ -297,6 +297,16 @@ def test_exit_codes():
     # abbreviated flags are refused, not expanded
     assert run_cli(["qubit", "--pre", "fig4", "--al", "0.6", "--be", "0.8",
                     "--ti", "1"]) == 2
+    # time columns are omega_1 * t, so omega_1 <= 0 is refused up front
+    for name, freqs in (("zero", {"preset": "resonant", "C": 0}),
+                        ("explicit_zero", [0, 1, 2, 3]),
+                        ("negative", [-1, -1, -1, -1])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"n_sites": 4, "frequencies": freqs, "J": 0.1}))
+        for argv in (["resonant-walk", "--times", "0,5"], ["spectrum"],
+                     ["transfer", "-m", "1", "-n", "3", "--times", "0,5"]):
+            assert run_cli(argv + ["--config", str(cfg)]) == 2, (name, argv)
+            assert "omega_1 * t" in capsys.readouterr().err
 
 
 def test_detuned_array_refuses_resonant_closed_form(tmp_path):

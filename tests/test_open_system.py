@@ -177,10 +177,13 @@ def test_checkpoint_states_equal_explicit_steps():
     counts = np.arange(2, 33, 2)
     np.testing.assert_allclose(run.times, counts * dt, rtol=1e-15)
     explicit = explicit_checkpoints(rho, h, gamma, dt, counts)
-    assert len(run.states) == len(explicit)
+    # the checked checkpoints come back as one read-only stack
+    assert isinstance(run.states, np.ndarray)
+    assert run.states.shape == (16, 5, 5)
+    assert not run.states.flags.writeable
     for state, want in zip(run.states, explicit):
-        assert np.max(np.abs(state.matrix - want)) <= 1e-13
-    assert run.final is run.states[-1]
+        assert np.max(np.abs(state - want)) <= 1e-13
+    assert run.final.matrix.tobytes() == run.states[-1].tobytes()
 
 
 def test_step_defect_equals_explicit_halving():
@@ -261,7 +264,8 @@ def test_integrator_checkpoint_invariants():
     assert len(run.states) == len(run.times)
     assert run.times[-1] == pytest.approx(400.0)
     vac = []
-    for state in run.states:
+    for matrix in run.states:
+        state = DensityMatrix(matrix)
         assert state.trace_defect() <= 1e-8
         assert state.min_eigenvalue() >= -1e-8
         vac.append(state.matrix[0, 0].real)
