@@ -34,7 +34,6 @@ from .dynamics import (
     evolve,
     qubit_state,
     single_photon_state,
-    site_probabilities,
     transfer_amplitude,
     transfer_probability,
 )
@@ -46,7 +45,6 @@ from .analytics import (
 from .protocol import (
     DoubletPurityWarning,
     TransferPlan,
-    identify_doublet,
     make_plan,
     plan_config,
     qubit_fidelity_curve,
@@ -57,10 +55,8 @@ from .open_system import (
     MasterRun,
     average_transfer_fidelity,
     integrate_master,
-    lindblad_rhs,
     reference_qubit_states,
     sample_qubit_states,
-    state_fidelity,
 )
 
 __all__ = [
@@ -71,13 +67,13 @@ __all__ = [
     "build_couplings", "build_hamiltonian",
     "switching_frequencies", "config_from_dict", "config_to_dict", "wrap_phase",
     "ExcitationState", "SpectralDecomposition", "decompose", "evolve",
-    "single_photon_state", "qubit_state", "site_probabilities",
+    "single_photon_state", "qubit_state",
     "transfer_amplitude", "transfer_probability",
     "TruncatedCoherentProfile", "regularized_upper_tail",
     "truncated_coherent_amplitudes",
-    "TransferPlan", "DoubletPurityWarning", "identify_doublet", "make_plan",
+    "TransferPlan", "DoubletPurityWarning", "make_plan",
     "plan_config", "qubit_fidelity_curve",
-    "DensityMatrix", "MasterRun", "FidelityCurve", "lindblad_rhs",
-    "integrate_master", "state_fidelity", "sample_qubit_states",
+    "DensityMatrix", "MasterRun", "FidelityCurve",
+    "integrate_master", "sample_qubit_states",
     "reference_qubit_states", "average_transfer_fidelity",
 ]

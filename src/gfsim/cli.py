@@ -29,14 +29,14 @@ import numpy as np
 
 from . import __version__
 from .analytics import truncated_coherent_amplitudes
-from .dynamics import decompose, evolve, single_photon_state, site_probabilities, \
-    transfer_probability
+from .dynamics import decompose, transfer_amplitude, transfer_probability
 from .errors import ClosedFormInapplicableError, ConfigError, \
     NumericalInvariantError, RegimeError
 from .model import ArrayConfig, build_hamiltonian, config_from_dict, config_to_dict, \
     wrap_phase
-from .open_system import average_transfer_fidelity, reference_qubit_states
-from .protocol import make_plan, qubit_fidelity_curve
+from .open_system import average_transfer_fidelity, reference_qubit_states, \
+    sample_qubit_states
+from .protocol import make_plan, plan_config, qubit_fidelity_curve
 
 # Flags beyond --config/--preset/--out/--format; each subcommand takes only
 # the ones its handler reads, so argparse refuses the rest.
@@ -420,21 +420,18 @@ def cmd_resonant_walk(exp: ResolvedExperiment) -> int:
             f"(max detuning {detuning:.3e}); the closed form does not apply"
         )
     times = _time_grid(exp, default=exp.preset.get("times"))
-    spec = decompose(build_hamiltonian(cfg))
-    start = single_photon_state(cfg.n_sites, 1)
-
     n = cfg.n_sites
-    probs, closed, deviation = [], [], []
-    for wt in times:
-        t = float(wt) / base
-        state = evolve(start, spec, t)
-        profile = truncated_coherent_amplitudes(cfg.coupling_scale, t, n)
-        # the closed form lives in the frame rotating at the resonance
-        rotated = state.amplitudes[1:] * np.exp(1j * base * t)
-        probs.append(site_probabilities(state))
-        closed.append(np.abs(profile.amplitudes) ** 2)
-        deviation.append(np.max(np.abs(rotated - profile.amplitudes)))
-    probs, closed = np.array(probs), np.array(closed)
+    t = times / base
+    spec = decompose(build_hamiltonian(cfg))
+    # every site at every time in one call: amps[i, k - 1] = <k|e^{-iHt_i}|1>
+    amps = transfer_amplitude(1, range(1, n + 1), spec, t)
+    probs = np.abs(amps) ** 2
+    profiles = np.array([truncated_coherent_amplitudes(cfg.coupling_scale, ti, n).amplitudes
+                         for ti in t.tolist()])
+    closed = np.abs(profiles) ** 2
+    # the closed form lives in the frame rotating at the resonance
+    rotated = amps * np.exp(1j * base * t)[:, None]
+    deviation = np.max(np.abs(rotated - profiles), axis=1)
     columns = {"omega1_t": times}
     columns.update({f"p_{k}": probs[:, k - 1] for k in range(1, n + 1)})
     columns.update({f"closed_p_{k}": closed[:, k - 1] for k in range(1, n + 1)})
@@ -473,9 +470,7 @@ def cmd_transfer(exp: ResolvedExperiment) -> int:
         t_star_wt = plan.transfer_time * base
         times_wt = _time_grid(exp, default=np.linspace(0.0, 2.0 * t_star_wt,
                                                        _DEFAULT_SWEEP_POINTS))
-        eta = exp.args.eta if exp.args.eta is not None else plan.eta_star
-        run_cfg = ArrayConfig(cfg.n_sites, plan.frequencies, cfg.coupling_scale,
-                              coupling_phase=eta)
+        run_cfg = plan_config(plan, exp.args.eta)
         meta["plan"] = plan.to_dict()
         meta["transfer_time_omega1_t"] = t_star_wt
     else:
@@ -546,8 +541,6 @@ def cmd_qubit(exp: ResolvedExperiment) -> int:
 
 def cmd_dissipation(exp: ResolvedExperiment) -> int:
     cfg = exp.config
-    if exp.args.seed is None:
-        raise ConfigError("--seed is required for dissipation runs (reproducibility)")
     if exp.pair is not None:
         pairs = [exp.pair]
     elif exp.preset.get("pairs"):
@@ -565,33 +558,35 @@ def cmd_dissipation(exp: ResolvedExperiment) -> int:
         grid = np.logspace(math.log10(lo), math.log10(hi), count)
 
     if exp.args.states == "fixed4":
-        if exp.args.samples is not None:
-            raise ConfigError("--samples does not apply to --states fixed4 "
-                              "(the four reference states)")
-        states = reference_qubit_states()
-        samples = states[0].shape[0]
+        for flag in ("seed", "samples"):
+            if getattr(exp.args, flag) is not None:
+                raise ConfigError(f"--{flag} does not apply to --states fixed4 "
+                                  "(the four reference states)")
+        alpha, beta = reference_qubit_states()
     else:
-        states = None
+        if exp.args.seed is None:
+            raise ConfigError("--seed is required for --states haar (reproducibility)")
         samples = exp.args.samples if exp.args.samples is not None \
             else exp.preset.get("samples", 200)
         if samples < 1:
             raise ConfigError(f"--samples must be >= 1, got {samples}")
+        alpha, beta = sample_qubit_states(samples, exp.args.seed)
 
     multi = len(pairs) > 1
     for m, n in pairs:
         meta = _base_metadata(exp)
         plan = _capture_plan(cfg, m, n, meta)
-        curve = average_transfer_fidelity(plan, grid, samples, exp.args.seed,
-                                          states=states)
+        curve = average_transfer_fidelity(plan, grid, alpha, beta)
         meta.update({
             "source": m,
             "target": n,
-            "seed": exp.args.seed,
             "samples": int(curve.samples),
             "states": exp.args.states,
             "plan": plan.to_dict(),
             "gamma_grid_note": "gamma/J grid, log-spaced",
         })
+        if exp.args.seed is not None:
+            meta["seed"] = exp.args.seed
         cells = len(curve.gamma_over_J)
         out = exp.args.out
         if out is not None and multi:

@@ -4,30 +4,24 @@ subspace, and the dissipation-vs-fidelity study built on it.
 Uniform loss on every cavity reduces, in this subspace, to three coupled
 blocks: the site-site density block feels the commutator and a uniform decay
 gamma, the vacuum-site coherences decay at gamma/2 while rotating under H,
-and the vacuum population collects everything the sites lose. The reduction
-is derived directly from the full Lindblad form; the single-mode closed form
-and the gamma = 0 limit pin it in the tests.
+and the vacuum population collects everything the sites lose. The tests
+write this generator out term by term (tests/oracles.py) and pin it with
+the dense jump-operator form, the single-mode closed form and the
+gamma = 0 limit.
 
-Integration is classical fixed-step RK4. For a linear time-independent
-equation one RK4 step is the polynomial map R(dt*L) with
-R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (the four-stage form telescopes to
-exactly this). In the eigenbasis of H every site-block and vacuum-site
-entry is its own eigenmode of L, so k steps multiply each mode by
-R(dt*mu)^k: the same map evaluated per eigenmode, not a different
-integrator. The full generator is trace-free, so the RK4 map keeps the
-trace exactly and the vacuum population after k steps is
-rho00(0) + tr rho_ss(0) - tr rho_ss(k), the RK4 value itself. The 16
-checkpoint states and the dt/2 rerun that verifies the run by step halving
-come out of one batched evaluation: R is computed once per step size and
-raised to every step count at once. One function checks the subspace
-invariants (trace, Hermiticity, positivity) on a stack of states: the
-whole checkpoint stack, which the run returns as one read-only array, or
-a single DensityMatrix.
+integrate_master is classical fixed-step RK4 evaluated per eigenmode of H:
+k steps multiply each mode by R(dt*mu)^k (_rk4_stack). Its 16 checkpoints
+and the dt/2 rerun that verifies it by step halving are one batched
+evaluation, and one function checks the subspace invariants (trace,
+Hermiticity, positivity) on the whole stack, which the run returns as one
+read-only array.
 
 The dissipation study does not integrate: with jumps |vac><k| only, the
 evolution of a single excitation factorizes exactly (no-jump picture), and
-average_transfer_fidelity scores each cell from that closed form. The RK4
-integrator is the independent oracle the tests tie it to.
+average_transfer_fidelity scores the qubit states it is given (a Haar
+sample from sample_qubit_states, or the four reference_qubit_states) in
+each cell from that closed form. The RK4 integrator is the independent
+oracle the tests tie it to.
 """
 
 from __future__ import annotations
@@ -39,16 +33,14 @@ import numpy as np
 
 from .dynamics import ExcitationState, decompose, transfer_amplitude
 from .errors import ConfigError, NumericalInvariantError
-from .model import HamiltonianMatrix, build_hamiltonian
+from .model import HamiltonianMatrix, _readonly, build_hamiltonian
 from .protocol import TransferPlan, plan_config
 
 __all__ = [
     "DensityMatrix",
     "FidelityCurve",
     "MasterRun",
-    "lindblad_rhs",
     "integrate_master",
-    "state_fidelity",
     "sample_qubit_states",
     "reference_qubit_states",
     "average_transfer_fidelity",
@@ -83,9 +75,7 @@ class DensityMatrix:
             raise ConfigError(
                 f"density matrix not Hermitian: max|rho - rho^dag| = {defect:.3e}"
             )
-        rho = np.array(rho, copy=True)
-        rho.setflags(write=False)
-        object.__setattr__(self, "matrix", rho)
+        object.__setattr__(self, "matrix", _readonly(rho))
 
     @property
     def n_sites(self) -> int:
@@ -139,35 +129,6 @@ def _check_states(stack: np.ndarray, where) -> None:
         f"negative population: min eigenvalue {lowest[i]:.3e} "
         f"below -{_POS_TOL:.0e}{suffix}"
     )
-
-
-def lindblad_rhs(rho, hamiltonian, gamma: float) -> np.ndarray:
-    """Time derivative of the full (N+1)-dim density matrix.
-
-    Site-site block: -i[H, rho] - gamma*rho. Vacuum-site coherences rotate
-    under H and decay at gamma/2. Vacuum population gains gamma * (total
-    site population). H must be Hermitian tridiagonal, as for
-    integrate_master (ConfigError otherwise). Returns a plain Hermitian
-    traceless array, not a DensityMatrix (a derivative is not a state).
-    """
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 0.0:
-        raise ConfigError(f"decay rate must be >= 0, got {gamma!r}")
-    h = HamiltonianMatrix(getattr(hamiltonian, "matrix", hamiltonian)).matrix
-    r = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-    n = h.shape[0]
-    if r.shape != (n + 1, n + 1):
-        raise ConfigError(
-            f"density matrix shape {r.shape} does not match {n} sites"
-        )
-    out = np.zeros_like(r)
-    ss = r[1:, 1:]
-    out[1:, 1:] = -1j * (h @ ss - ss @ h) - gamma * ss
-    v = r[0, 1:]
-    out[0, 1:] = 1j * (v @ h) - 0.5 * gamma * v
-    out[1:, 0] = np.conj(out[0, 1:])
-    out[0, 0] = gamma * float(np.trace(ss).real)
-    return out
 
 
 def _rk4_factor(z: np.ndarray) -> np.ndarray:
@@ -292,17 +253,6 @@ def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
                      n_steps, step_defect, True)
 
 
-def state_fidelity(rho: DensityMatrix, target: ExcitationState) -> float:
-    """Overlap <Psi|rho|Psi> with a pure target (the pure-target fidelity)."""
-    r = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
-    psi = target.amplitudes
-    if r.shape[0] != psi.shape[0]:
-        raise ConfigError(
-            f"density matrix dim {r.shape[0]} does not match state dim {psi.shape[0]}"
-        )
-    return float(np.real(np.conj(psi) @ r @ psi))
-
-
 def sample_qubit_states(samples: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Haar-uniform qubit amplitudes (alpha, beta), global phase on beta.
 
@@ -333,7 +283,7 @@ def reference_qubit_states() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class FidelityCurve:
-    """Averaged transfer fidelity against gamma/J for one plan.
+    """Averaged transfer fidelity against gamma/J over `samples` qubit states.
 
     The cells come from the exact no-jump factorization, so there is no
     step size and nothing to converge.
@@ -344,19 +294,18 @@ class FidelityCurve:
     stderr: np.ndarray
     samples: int
     transfer_time: float
-    seed: object
 
 
-def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, samples: int,
-                              seed, *, states=None) -> FidelityCurve:
+def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
+                              beta) -> FidelityCurve:
     """Mean transfer fidelity at t = plan.transfer_time versus gamma/J.
 
-    For each decay rate, every sampled superposition alpha|vac> + beta|m>
+    For each decay rate, every superposition alpha[i]|vac> + beta[i]|m>
     evolves with uniform loss under the plan's Hamiltonian (bond phase
-    eta_star) and is scored against alpha|vac> + beta|n>. One qubit ensemble
-    is drawn from `seed` and reused across the whole grid, so the curve's
-    gamma-dependence is not polluted by sampling noise; `states` may supply
-    an explicit (alpha_array, beta_array) pair instead.
+    eta_star) and is scored against alpha[i]|vac> + beta[i]|n>. The same
+    states are scored in every cell, so with a random ensemble (for example
+    sample_qubit_states) the curve's gamma-dependence is not polluted by
+    sampling noise.
 
     Each cell is scored from the exact no-jump factorization of the master
     equation (Dalibard, Castin & Moelmer, PRL 68, 580 (1992)): at t the
@@ -375,23 +324,19 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, samples: int,
         raise ConfigError("gamma_over_J must be a non-empty 1-d grid")
     if np.any(~np.isfinite(gammas)) or np.any(gammas < 0.0):
         raise ConfigError("gamma_over_J values must be finite and >= 0")
-    if states is None:
-        alpha, beta = sample_qubit_states(samples, seed)
-    else:
-        alpha = np.asarray(states[0], dtype=complex).ravel()
-        beta = np.asarray(states[1], dtype=complex).ravel()
-        if alpha.shape != beta.shape:
-            raise ConfigError("states alpha/beta arrays must have equal length")
-        norms = np.abs(alpha) ** 2 + np.abs(beta) ** 2
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise ConfigError("states must be normalized qubit amplitudes")
+    alpha = np.asarray(alpha, dtype=complex).ravel()
+    beta = np.asarray(beta, dtype=complex).ravel()
+    if alpha.shape != beta.shape or alpha.size == 0:
+        raise ConfigError("alpha and beta must be non-empty and of equal length")
+    a2 = np.abs(alpha) ** 2
+    b2 = np.abs(beta) ** 2
+    if not np.max(np.abs(a2 + b2 - 1.0)) <= 1e-10:
+        raise ConfigError("states must be normalized qubit amplitudes")
     n_samp = alpha.shape[0]
 
     t_star = plan.transfer_time
     spec = decompose(build_hamiltonian(plan_config(plan)))
     a = transfer_amplitude(plan.source, plan.target, spec, t_star)
-    a2 = np.abs(alpha) ** 2
-    b2 = np.abs(beta) ** 2
 
     # one (cells x samples) array; the per-cell damping factors come from
     # math as column vectors, so every element is the scalar formula's float
@@ -406,4 +351,4 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, samples: int,
     means = np.mean(fids, axis=1)
     errs = np.zeros(len(gamma_t)) if n_samp < 2 \
         else np.std(fids, axis=1, ddof=1) / math.sqrt(n_samp)
-    return FidelityCurve(gammas, means, errs, n_samp, t_star, seed)
+    return FidelityCurve(gammas, means, errs, n_samp, t_star)

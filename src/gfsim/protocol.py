@@ -17,8 +17,9 @@ continued fractions for the self-energies Sigma_m(x), Sigma_n(x) and a
 continuant for the coupling V(x) = prod(J*sqrt(k)) / det(x - H_mid); each
 has relative accuracy, so the self-consistent doublet levels x+- carry
 relative accuracy and lambda+- = omega_m + x+- is rounded once. Doublets
-too narrow for float64 propagation to resolve are refused outright.
-identify_doublet keeps the eigensolver route as the independent cross-check.
+too narrow for float64 propagation to resolve are refused outright. The
+eigensolver route (tests/oracles.py) is kept only as the tests' independent
+cross-check.
 
 Orientation subtlety: the effective m<->n coupling appears at order |n-m|
 in the coupling with |n-m|-1 energy denominators of alternating sign, so
@@ -37,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dynamics import SpectralDecomposition, decompose, transfer_amplitude
+from .dynamics import decompose, transfer_amplitude
 from .errors import ConfigError, DoubletNotResolvedError
 from .model import (ArrayConfig, build_couplings, build_hamiltonian,
                     switching_frequencies, wrap_phase)
@@ -45,7 +46,6 @@ from .model import (ArrayConfig, build_couplings, build_hamiltonian,
 __all__ = [
     "TransferPlan",
     "DoubletPurityWarning",
-    "identify_doublet",
     "make_plan",
     "plan_config",
     "qubit_fidelity_curve",
@@ -55,7 +55,6 @@ __all__ = [
 # 0.99 they are emitted with a warning (perturbative picture degrading).
 _PURITY_REFUSE = 0.9
 _PURITY_WARN = 0.99
-_PURITY_RESOLVED = 0.5
 
 _EPS = float(np.finfo(float).eps)
 # The plan is run through decompose, whose eigenvalues are good to a small
@@ -166,50 +165,6 @@ class TransferPlan:
         if missing:
             raise ConfigError(f"plan missing fields: {sorted(missing)}")
         return cls(**{k: data[k] for k in known})
-
-
-def _doublet_indices(spec: SpectralDecomposition, m: int, n: int):
-    """Indices of the eigenvectors closest to (|m> +- |n>)/sqrt2, with overlaps."""
-    v = spec.eigenvectors
-    row_m = np.conj(v[m - 1, :])
-    row_n = np.conj(v[n - 1, :])
-    ov_plus = np.abs(row_m + row_n) ** 2 / 2.0
-    ov_minus = np.abs(row_m - row_n) ** 2 / 2.0
-    idx_plus = int(np.argmax(ov_plus))
-    idx_minus = int(np.argmax(ov_minus))
-    if idx_plus == idx_minus:
-        raise DoubletNotResolvedError(
-            "doublet not resolved: one eigenvector dominates both "
-            f"(|m>+|n>) and (|m>-|n>) combinations (overlaps "
-            f"{ov_plus[idx_plus]:.3f}, {ov_minus[idx_minus]:.3f})"
-        )
-    purity = float(min(ov_plus[idx_plus], ov_minus[idx_minus]))
-    return idx_plus, idx_minus, purity
-
-
-def identify_doublet(spec: SpectralDecomposition, m: int, n: int):
-    """Locate the transfer doublet in a spectral decomposition.
-
-    Returns (lambda_plus, lambda_minus, purity) where lambda_plus belongs to
-    the eigenvector matching the symmetric combination (|m>+|n>)/sqrt2 and
-    lambda_minus to the antisymmetric one; note the values are *not*
-    guaranteed ordered (the symmetric level sits at the bottom for even
-    n-m). purity is the smaller of the two squared overlaps; below 0.5 the
-    two-level reduction is meaningless and an error is raised.
-    """
-    nn = spec.n_sites
-    for name, site in (("m", m), ("n", n)):
-        if not (1 <= site <= nn):
-            raise ConfigError(f"{name} must lie in [1, {nn}], got {site}")
-    if m == n:
-        raise ConfigError(f"source and target sites must differ, got m = n = {m}")
-    idx_plus, idx_minus, purity = _doublet_indices(spec, m, n)
-    if purity < _PURITY_RESOLVED:
-        raise DoubletNotResolvedError(
-            f"doublet not resolved: purity {purity:.4f} < {_PURITY_RESOLVED} "
-            "(coupling too large relative to the neighbour detunings)"
-        )
-    return float(spec.eigenvalues[idx_plus]), float(spec.eigenvalues[idx_minus]), purity
 
 
 def _chain_run(d, b2, sites):
@@ -426,7 +381,7 @@ def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
     alpha = complex(alpha)
     beta = complex(beta)
     norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise ConfigError(
             f"qubit amplitudes not normalized: |alpha|^2 + |beta|^2 = {norm!r}"
         )

@@ -29,7 +29,6 @@ from gfsim.dynamics import (
     decompose,
     evolve,
     single_photon_state,
-    site_probabilities,
     transfer_probability,
 )
 from gfsim.analytics import truncated_coherent_amplitudes
@@ -37,11 +36,12 @@ from gfsim.open_system import (
     DensityMatrix,
     average_transfer_fidelity,
     integrate_master,
-    state_fidelity,
+    sample_qubit_states,
 )
 from gfsim.protocol import make_plan, qubit_fidelity_curve
 
 from conftest import read_csv_output, resonant_template
+from oracles import state_fidelity
 
 SEED = 20260823
 
@@ -137,7 +137,7 @@ def test_criterion_4_switching_transfer_peaks(capsys):
         start = single_photon_state(6, m)
         peak, peak_t, worst_leak = 0.0, 0.0, 0.0
         for t in times:
-            probs = site_probabilities(evolve(start, spec, float(t)))
+            probs = np.abs(evolve(start, spec, float(t)).amplitudes[1:]) ** 2
             p_mn = float(probs[n - 1])
             leak = float(1.0 - probs[m - 1] - probs[n - 1])
             worst_leak = max(worst_leak, leak)
@@ -180,8 +180,9 @@ def test_criterion_6_dissipation_study(capsys):
     details, all_ok = [], True
     for m, n in ((1, 3), (2, 5)):
         plan = quiet_plan(template, m, n)
-        lossless = average_transfer_fidelity(plan, np.array([0.0]), 200, SEED)
-        curve = average_transfer_fidelity(plan, grid, 200, SEED)
+        states = sample_qubit_states(200, SEED)
+        lossless = average_transfer_fidelity(plan, np.array([0.0]), *states)
+        curve = average_transfer_fidelity(plan, grid, *states)
         f, se = curve.mean_fidelity, curve.stderr
         f0 = float(lossless.mean_fidelity[0])
         violations = int(np.sum(np.diff(f) > se[:-1]))
@@ -239,7 +240,7 @@ def test_criterion_8_micro_oracles(capsys):
     spec2 = decompose(build_hamiltonian(resonant_template(2, coupling=j)))
     start = single_photon_state(2, 1)
     rabi_err = max(
-        abs(site_probabilities(evolve(start, spec2, t))[1] - math.sin(j * t) ** 2)
+        abs(abs(evolve(start, spec2, t).amplitudes[2]) ** 2 - math.sin(j * t) ** 2)
         for t in np.linspace(0.0, 120.0, 241))
     # single-mode decay
     omega, gamma = 1.0, 0.2

@@ -179,7 +179,7 @@ def test_reused_parser_leaks_no_state(tmp_path):
     assert run_cli(["qubit", "--pre", "fig4", "--al", "0.6"]) == 2
     argv = ["dissipation", "--preset", "fig5", "--seed", "3"]
     fixed, again, fresh = (tmp_path / d for d in ("fixed", "again", "fresh"))
-    run_to_dir(argv + ["--states", "fixed4"], fixed)
+    run_to_dir(["dissipation", "--preset", "fig5", "--states", "fixed4"], fixed)
     files = run_to_dir(argv, again)
     for text in files.values():
         assert json.loads(text.splitlines()[0][2:])["states"] == "haar"
@@ -268,17 +268,21 @@ def test_dissipation_outputs_one_file_per_pair(tmp_path):
 def test_dissipation_fixed_states(tmp_path):
     out = tmp_path / "fixed.csv"
     code = run_cli(["dissipation", "--preset", "fig5", "-m", "1", "-n", "3",
-                    "--seed", "5", "--states", "fixed4",
+                    "--states", "fixed4",
                     "--grid", "0.001:1:3", "--out", str(out)])
     assert code == 0
     meta, _, rows = read_csv_output(out)
     assert meta["states"] == "fixed4"
+    assert "seed" not in meta          # nothing random was drawn
     assert all(r[3] == 4 for r in rows)
 
 
 def test_exit_codes(tmp_path, capsys):
     # 2: config problems
     assert run_cli(["dissipation", "--preset", "fig5"]) == 2          # no seed
+    # NaN amplitudes have a NaN norm, which must fail the normalization check
+    assert run_cli(["qubit", "--preset", "fig4", "--alpha", "nan", "--beta", "1",
+                    "--times", "1,2"]) == 2
     assert run_cli(["resonant-walk", "--preset", "fig2"]) == 2        # wrong preset
     assert run_cli(["transfer", "--config", "/no/such/file.json"]) == 2
     assert run_cli(["spectrum"]) == 2                                 # nothing given
@@ -292,8 +296,11 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(["spectrum", "--preset", "fig2", "--seed", "9", "--samples", "3",
                     "--alpha", "2", "--times", "1"]) == 2
     assert run_cli(["resonant-walk", "--preset", "fig1", "-m", "4", "-n", "5"]) == 2
-    assert run_cli(["dissipation", "--preset", "fig5", "--seed", "1",
+    # fixed4 scores four given states: neither a sample count nor a seed applies
+    assert run_cli(["dissipation", "--preset", "fig5",
                     "--states", "fixed4", "--samples", "1000"]) == 2
+    assert run_cli(["dissipation", "--preset", "fig5", "--seed", "1",
+                    "--states", "fixed4"]) == 2
     # abbreviated flags are refused, not expanded
     assert run_cli(["qubit", "--pre", "fig4", "--al", "0.6", "--be", "0.8",
                     "--ti", "1"]) == 2

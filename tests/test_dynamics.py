@@ -1,4 +1,5 @@
-"""Exact single-excitation evolution against a brute-force propagator."""
+"""Exact single-excitation evolution against a brute-force propagator, and
+the one amplitude kernel behind evolve, transfer_amplitude and resonant-walk."""
 
 import math
 
@@ -6,20 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gfsim.cli import main as cli_main
 from gfsim.errors import ConfigError, NumericalInvariantError
-from gfsim.model import ArrayConfig, build_hamiltonian, switching_frequencies
+from gfsim.model import ArrayConfig, build_hamiltonian, config_from_dict, \
+    switching_frequencies
 from gfsim.dynamics import (
     ExcitationState,
     decompose,
     evolve,
     qubit_state,
     single_photon_state,
-    site_probabilities,
     transfer_amplitude,
     transfer_probability,
 )
 
-from conftest import brute_force_evolve
+from conftest import brute_force_evolve, read_csv_output
 
 
 # Spectra of the fig2 (N = 10, pair (3, 7)) and fig3b (N = 6, pair (2, 4))
@@ -136,7 +138,7 @@ def test_two_site_rabi_oscillation():
     spec = decompose(build_hamiltonian(cfg))
     start = single_photon_state(2, 1)
     for t in np.linspace(0.0, 25.0, 57):
-        probs = site_probabilities(evolve(start, spec, float(t)))
+        probs = np.abs(evolve(start, spec, float(t)).amplitudes[1:]) ** 2
         assert probs[1] == pytest.approx(math.sin(j * t) ** 2, abs=1e-10)
         assert probs[0] == pytest.approx(math.cos(j * t) ** 2, abs=1e-10)
 
@@ -172,7 +174,7 @@ def test_transfer_probability_consistency():
     assert probs.shape == times.shape
     start = single_photon_state(6, 2)
     for t, p in zip(times, probs):
-        direct = site_probabilities(evolve(start, spec, float(t)))[4]
+        direct = abs(evolve(start, spec, float(t)).amplitudes[5]) ** 2
         assert p == pytest.approx(direct, abs=1e-12)
     scalar = transfer_probability(2, 5, spec, 0.8)
     assert isinstance(scalar, float)
@@ -193,6 +195,10 @@ def test_transfer_probability_rejects_bad_sites():
         transfer_probability(0, 2, spec, 1.0)
     with pytest.raises(ConfigError):
         transfer_probability(1, 5, spec, 1.0)
+    # one target or a 1-d sequence of sites in [1, N], nothing else
+    for target in (0, 5, [1, 0], [2, 5], np.array([[1, 2], [3, 4]]), [1.0, 2.0]):
+        with pytest.raises(ConfigError):
+            transfer_amplitude(1, target, spec, [0.0, 1.0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -221,6 +227,73 @@ def test_site_probabilities_phase_invariant(seed, eta):
         ArrayConfig(5, freqs, j, coupling_phase=eta)))
     start = single_photon_state(5, 2)
     for t in (0.9, 6.4):
-        p0 = site_probabilities(evolve(start, plain, t))
-        p1 = site_probabilities(evolve(start, gauged, t))
+        p0 = np.abs(evolve(start, plain, t).amplitudes[1:]) ** 2
+        p1 = np.abs(evolve(start, gauged, t).amplitudes[1:]) ** 2
         np.testing.assert_allclose(p0, p1, atol=1e-11)
+
+
+def test_multi_target_equals_single_target_calls_bitwise():
+    # one einsum over a stack of target rows sums each row in the same
+    # order as the single-row call
+    rng = np.random.default_rng(13)
+    for n in (2, 6, 10, 12):
+        spec = decompose(build_hamiltonian(random_config(rng, n)))
+        initial = int(rng.integers(1, n + 1))
+        targets = [*range(1, n + 1), n, 1]        # repeats are allowed
+        for t in (rng.uniform(0.0, 1e4, 2001), rng.uniform(-50.0, 50.0, (3, 7)), 4.2):
+            multi = transfer_amplitude(initial, targets, spec, t)
+            assert multi.shape == np.shape(t) + (len(targets),)
+            for col, target in enumerate(targets):
+                single = np.asarray(transfer_amplitude(initial, target, spec, t))
+                assert multi[..., col].tobytes() == single.tobytes(), (n, target)
+    probs = transfer_probability(1, np.array([1, 2]), spec, [0.5, 1.5])
+    assert probs.shape == (2, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2 ** 31),
+       st.floats(min_value=-30.0, max_value=30.0, allow_nan=False))
+def test_multi_target_matches_brute_force_propagator(n, seed, t):
+    # random frequencies, couplings and bond phase; scipy's expm of the dense
+    # matrix shares nothing with the spectral route. eigh is backward stable,
+    # so V diag(lambda) V^dag = H + E with |E| ~ n eps |H|: the propagator is
+    # off by ~ |E| |t|, plus ~ n eps from V's non-orthogonality; expm's own
+    # error is of the same order. The bound is four times that.
+    rng = np.random.default_rng(seed)
+    h = build_hamiltonian(random_config(rng, n))
+    spec = decompose(h)
+    initial = int(rng.integers(1, n + 1))
+    start = np.zeros(n + 1, dtype=complex)
+    start[initial] = 1.0
+    brute = brute_force_evolve(h, start, t)[1:]
+    ours = transfer_amplitude(initial, range(1, n + 1), spec, t)
+    h_norm = np.max(np.sum(np.abs(h.matrix), axis=1))
+    bound = 4.0 * n * np.finfo(float).eps * (1.0 + h_norm * abs(t))
+    assert np.max(np.abs(ours - brute)) <= bound
+
+
+def test_resonant_walk_columns_match_brute_force(tmp_path):
+    # every p_k of the fig1 walk on a 401-point grid, against scipy's expm.
+    # |dP| <= 2 |d amplitude| + |d amplitude|^2, and each amplitude carries
+    # the conditioning bound of the test above, for each of the two routes
+    out = tmp_path / "walk.csv"
+    assert cli_main(["resonant-walk", "--preset", "fig1", "--grid", "0:84:401",
+                     "--out", str(out)]) == 0
+    meta, columns, rows = read_csv_output(out)
+    cfg = config_from_dict(meta["config"])
+    n = cfg.n_sites
+    h = build_hamiltonian(cfg)
+    rows = np.array(rows)
+    assert rows.shape == (401, 2 * n + 3)
+    p_cols = [columns.index(f"p_{k}") for k in range(1, n + 1)]
+    start = np.zeros(n + 1, dtype=complex)
+    start[1] = 1.0
+    h_norm = np.max(np.sum(np.abs(h.matrix), axis=1))
+    for row in rows:
+        t = row[0] / cfg.frequencies[0]
+        brute = np.abs(brute_force_evolve(h, start, t)[1:]) ** 2
+        amp_bound = 2 * 4.0 * n * np.finfo(float).eps * (1.0 + h_norm * t)
+        assert np.max(np.abs(row[p_cols] - brute)) <= 2 * amp_bound + amp_bound ** 2
+    # the boundary column is p_N's cells, bit for bit
+    assert np.array_equal(rows[:, columns.index("boundary_population")],
+                          rows[:, p_cols[-1]])

@@ -23,13 +23,12 @@ from gfsim.open_system import (
     DensityMatrix,
     average_transfer_fidelity,
     integrate_master,
-    lindblad_rhs,
     reference_qubit_states,
     sample_qubit_states,
-    state_fidelity,
 )
 
 from conftest import resonant_template
+from oracles import lindblad_rhs, state_fidelity
 
 
 def dense_lindblad(rho, h, gamma):
@@ -392,7 +391,8 @@ STUDY_GRID = np.logspace(-3.0, 0.0, 9)
 
 @pytest.fixture(scope="module")
 def curve_13(plan_13):
-    return average_transfer_fidelity(plan_13, STUDY_GRID, 60, 20260823)
+    return average_transfer_fidelity(plan_13, STUDY_GRID,
+                                     *sample_qubit_states(60, 20260823))
 
 
 class TestAveragedFidelityStudy:
@@ -401,15 +401,14 @@ class TestAveragedFidelityStudy:
     def test_shapes_and_metadata(self, curve_13, plan_13):
         c = curve_13
         assert c.samples == 60
-        assert c.seed == 20260823
         assert c.transfer_time == pytest.approx(plan_13.transfer_time)
         assert c.gamma_over_J.shape == c.mean_fidelity.shape == c.stderr.shape
         assert np.all(c.stderr > 0)
 
     def test_lossless_limit_is_nearly_perfect(self, plan_13):
         # gamma/J = 0 is a legal grid point; only doublet leakage remains
-        curve = average_transfer_fidelity(plan_13, np.array([0.0]), 60,
-                                          20260823)
+        curve = average_transfer_fidelity(plan_13, np.array([0.0]),
+                                          *sample_qubit_states(60, 20260823))
         assert curve.mean_fidelity[0] >= 0.999
         assert curve.mean_fidelity[0] == pytest.approx(0.99999289, abs=2e-6)
 
@@ -427,7 +426,8 @@ class TestAveragedFidelityStudy:
         assert f[-1] < 0.6
 
     def test_same_seed_reproduces_bitwise(self, plan_13, curve_13):
-        again = average_transfer_fidelity(plan_13, self.GRID, 60, 20260823)
+        again = average_transfer_fidelity(plan_13, self.GRID,
+                                          *sample_qubit_states(60, 20260823))
         np.testing.assert_array_equal(again.mean_fidelity,
                                       curve_13.mean_fidelity)
         np.testing.assert_array_equal(again.stderr, curve_13.stderr)
@@ -436,7 +436,8 @@ class TestAveragedFidelityStudy:
         # 200 Haar samples, seed 20260823: values pinned from the first
         # validated run of this code
         grid = np.array([0.0, 1.0])
-        curve = average_transfer_fidelity(plan_13, grid, 200, 20260823)
+        curve = average_transfer_fidelity(plan_13, grid,
+                                          *sample_qubit_states(200, 20260823))
         assert curve.mean_fidelity[0] == pytest.approx(0.9999927, abs=2e-6)
         assert curve.mean_fidelity[1] == pytest.approx(0.4832726, abs=2e-6)
         # fully damped channel keeps only the vacuum overlap |alpha|^4 term:
@@ -447,8 +448,8 @@ class TestAveragedFidelityStudy:
 
     def test_reference_state_override(self, plan_13):
         states = reference_qubit_states()
-        curve = average_transfer_fidelity(plan_13, np.array([0.0, 1.0]), 4,
-                                          20260823, states=states)
+        curve = average_transfer_fidelity(plan_13, np.array([0.0, 1.0]),
+                                          *states)
         assert curve.samples == 4
         assert curve.mean_fidelity[0] == pytest.approx(0.99999236, abs=2e-6)
         # (1/16 + 1/9 + 1/4 + 9/16) / 4 at full damping
@@ -456,14 +457,16 @@ class TestAveragedFidelityStudy:
 
     def test_grid_and_sample_validation(self, plan_13):
         with pytest.raises(ConfigError):
-            average_transfer_fidelity(plan_13, np.array([-0.1, 1.0]), 4,
-                                      1, states=reference_qubit_states())
+            average_transfer_fidelity(plan_13, np.array([-0.1, 1.0]),
+                                      *reference_qubit_states())
         with pytest.raises(ConfigError):
-            average_transfer_fidelity(plan_13, np.array([1e-3]), 0, 1)
-        bad = (np.array([0.9, 0.9]), np.array([0.9, 0.1]))
-        with pytest.raises(ConfigError):
-            average_transfer_fidelity(plan_13, np.array([1e-3]), 2, 1,
-                                      states=bad)
+            average_transfer_fidelity(plan_13, np.array([1e-3]),
+                                      *sample_qubit_states(0, 1))
+        # a NaN or inf norm fails the check too: it is `not <= tol`
+        for bad in (([0.9, 0.9], [0.9, 0.1]), ([math.nan, 1.0], [1.0, 0.0]),
+                    ([1.0], [math.inf])):
+            with pytest.raises(ConfigError, match="normalized"):
+                average_transfer_fidelity(plan_13, np.array([0.0, 1e-3]), *bad)
 
 
 def per_cell_scores(plan, gammas, alpha, beta):
@@ -492,20 +495,16 @@ def per_cell_scores(plan, gammas, alpha, beta):
 def test_broadcast_scoring_equals_per_cell_formula(plan_13, ensemble):
     grid = np.concatenate([[0.0], np.logspace(-3.0, 0.0, 25)])
     if ensemble == "haar200":
-        samples, states = 200, None
         alpha, beta = sample_qubit_states(200, 1)
     elif ensemble == "reference4":
-        states = reference_qubit_states()
-        alpha, beta = states
-        samples = len(alpha)
+        alpha, beta = reference_qubit_states()
     else:
-        samples, states = 1, None
         alpha, beta = sample_qubit_states(1, 1)
-    curve = average_transfer_fidelity(plan_13, grid, samples, 1, states=states)
+    curve = average_transfer_fidelity(plan_13, grid, alpha, beta)
     means, errs = per_cell_scores(plan_13, grid, alpha, beta)
     assert np.array_equal(curve.mean_fidelity, means)
     assert np.array_equal(curve.stderr, errs)
-    if samples == 1:
+    if len(alpha) == 1:
         assert not np.any(curve.stderr)
 
 
@@ -520,7 +519,7 @@ def test_exact_loss_path_matches_integrator_oracle():
     h = build_hamiltonian(plan_config(plan))
     grid = np.array([0.0, 0.05, 0.5])
     alphas, betas = reference_qubit_states()
-    curve = average_transfer_fidelity(plan, grid, 4, 1, states=(alphas, betas))
+    curve = average_transfer_fidelity(plan, grid, alphas, betas)
     for g_over_j, mean in zip(grid, curve.mean_fidelity):
         fids = []
         for alpha, beta in zip(alphas, betas):

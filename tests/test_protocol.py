@@ -20,13 +20,13 @@ from gfsim.dynamics import decompose, transfer_probability
 from gfsim.protocol import (
     DoubletPurityWarning,
     TransferPlan,
-    identify_doublet,
     make_plan,
     plan_config,
     qubit_fidelity_curve,
 )
 
 from conftest import resonant_template
+from oracles import identify_doublet
 
 # template: six resonant cavities at omega = 1, J = 0.0013. Recipe: build the
 # float64 matrix with build_hamiltonian(ArrayConfig(6, switching_frequencies(
@@ -292,5 +292,8 @@ def test_plan_config_carries_frequencies_and_phase(plan_24):
 
 
 def test_qubit_curve_rejects_unnormalized_state(plan_24):
-    with pytest.raises(ConfigError):
-        qubit_fidelity_curve(plan_24, 0.9, 0.9, [0.0])
+    # a NaN or inf norm fails the check too: it is `not <= tol`, not `> tol`
+    for alpha, beta in ((0.9, 0.9), (math.nan, 1.0), (0.6, complex(0.8, math.nan)),
+                        (math.inf, 0.0)):
+        with pytest.raises(ConfigError, match="normalized"):
+            qubit_fidelity_curve(plan_24, alpha, beta, [0.0])

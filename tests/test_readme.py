@@ -1,9 +1,15 @@
 """The README's code must run against the current public API."""
 
 import re
+import shlex
 from pathlib import Path
 
+from gfsim.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# a file name a comment promises, e.g. "fig3b.csv.plan.json"
+_FILE_NAME = re.compile(r"[\w-]+(?:\.\w+)+")
 
 
 def test_library_tour_snippet_runs():
@@ -13,4 +19,43 @@ def test_library_tour_snippet_runs():
     assert block, "README has no python block"
     namespace = {}
     exec(compile(block.group(1), str(README), "exec"), namespace)
+    assert namespace["walk"].shape == (3, 10)
     assert namespace["curve"].mean_fidelity.shape == (25,)
+
+
+def cli_examples():
+    """(argv, files expected, README line) for each `gfsim ...` line of the
+    CLI examples block. A comment on the line, or on comment-only lines
+    right below it, names files: "+ X" adds X to the --out file, "writes X
+    and Y" replaces it."""
+    block = re.search(r"Examples:\n\n```sh\n(.*?)```", README.read_text(), re.S)
+    assert block, "README has no CLI examples block"
+    examples = []
+    for line in block.group(1).splitlines():
+        command, _, comment = line.partition("#")
+        if command.strip():
+            argv = shlex.split(command)
+            assert argv[0] == "gfsim", line
+            out = argv[argv.index("--out") + 1] if "--out" in argv else None
+            examples.append([argv[1:], out, comment.strip(), line])
+        else:
+            examples[-1][2] = f"{examples[-1][2]} {comment.strip()}".strip()
+    cases = []
+    for argv, out, comment, line in examples:
+        named = set(_FILE_NAME.findall(comment))
+        if out is not None and not comment.startswith("writes"):
+            named.add(out)
+        cases.append((argv, named, line))
+    return cases
+
+
+def test_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every example exits 0 and leaves exactly the files its comment names
+    cases = cli_examples()
+    assert len(cases) >= 5
+    for i, (argv, files, line) in enumerate(cases):
+        workdir = tmp_path / f"example{i}"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert main(argv) == 0, (line, capsys.readouterr().err)
+        assert {p.name for p in workdir.iterdir()} == files, line
