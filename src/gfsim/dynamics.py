@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalInvariantError
-from .model import HamiltonianMatrix, _readonly
+from .model import HamiltonianMatrix, _readonly, _tridiagonal
 
 __all__ = [
     "ExcitationState",
@@ -69,11 +69,7 @@ class ExcitationState:
 
 def single_photon_state(n_sites: int, site: int) -> ExcitationState:
     """One photon localized at `site` (1-based), vacuum amplitude 0."""
-    if not (1 <= site <= n_sites):
-        raise ConfigError(f"site must lie in [1, {n_sites}], got {site}")
-    amps = np.zeros(n_sites + 1, dtype=complex)
-    amps[site] = 1.0
-    return ExcitationState(amps)
+    return qubit_state(n_sites, site, 0.0, 1.0)
 
 
 def qubit_state(n_sites: int, site: int, alpha: complex, beta: complex) -> ExcitationState:
@@ -105,12 +101,14 @@ class SpectralDecomposition:
 def decompose(hamiltonian: HamiltonianMatrix) -> SpectralDecomposition:
     """Eigendecomposition of the site block.
 
-    Accepts a HamiltonianMatrix (or a bare Hermitian tridiagonal array in
-    tests). Internally gauges the bond phases away, solves the real
-    symmetric tridiagonal problem, restores the phases on the eigenvector
-    rows, and verifies the multiply-back residual.
+    Accepts a HamiltonianMatrix as checked, or a bare array, which it checks
+    by constructing one. Internally gauges the bond phases away, solves the
+    real symmetric tridiagonal problem, restores the phases on the
+    eigenvector rows, and verifies the multiply-back residual (NaN fails).
     """
-    h = np.asarray(getattr(hamiltonian, "matrix", hamiltonian), dtype=complex)
+    if not isinstance(hamiltonian, HamiltonianMatrix):
+        hamiltonian = HamiltonianMatrix(hamiltonian)
+    h = hamiltonian.matrix
     n = h.shape[0]
     off = h.diagonal(1)
     # Row phases theta with theta_1 = 0, theta_{k+1} = theta_k - arg(H[k,k+1])
@@ -119,7 +117,7 @@ def decompose(hamiltonian: HamiltonianMatrix) -> SpectralDecomposition:
     phases = np.zeros(n)
     phases[1:] = -np.cumsum(np.angle(off))
     off_abs = np.abs(off)
-    gauged = np.diag(h.diagonal().real) + np.diag(off_abs, 1) + np.diag(off_abs, -1)
+    gauged = _tridiagonal(h.diagonal().real, off_abs, off_abs, float)
     try:
         lam, vec_real = np.linalg.eigh(gauged)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
@@ -129,8 +127,8 @@ def decompose(hamiltonian: HamiltonianMatrix) -> SpectralDecomposition:
     vectors = np.exp(1j * phases)[:, None] * vec_real
 
     scale = float(np.max(np.abs(h))) or 1.0
-    residual = float(np.max(np.abs(vectors @ np.diag(lam) @ vectors.conj().T - h)))
-    if residual > 1e-10 * scale:
+    residual = float(np.max(np.abs((vectors * lam) @ vectors.conj().T - h)))
+    if not residual <= 1e-10 * scale:
         raise NumericalInvariantError(
             f"eigendecomposition residual {residual:.3e} exceeds 1e-10 relative"
         )
@@ -148,7 +146,7 @@ def _mode_sum(rows: np.ndarray, coeffs: np.ndarray, eigenvalues: np.ndarray,
     the same for a row alone or in a stack.
     """
     weights = rows * coeffs
-    phases = np.exp(-1j * np.multiply.outer(t, eigenvalues))
+    phases = np.exp(np.multiply.outer(t, -1j * eigenvalues))
     return np.einsum("tk,...k->t...", phases, weights)
 
 
@@ -174,13 +172,13 @@ def transfer_amplitude(initial_site: int, target_site, spec: SpectralDecompositi
                        t) -> np.ndarray | complex:
     """<target| e^{-iHt} |initial>, vectorized over t; sites are 1-based.
 
-    target_site is one site, or a 1-d sequence of sites that adds a trailing
-    axis to the result, each column bitwise equal to its single-target call.
-    One target at a scalar t returns a complex.
+    Sites are integers (not bools); target_site is one site, or a 1-d array
+    of sites that adds a trailing axis to the result, each column bitwise
+    equal to its single-target call. One target at a scalar t is a complex.
     """
     n = spec.n_sites
     targets = low = high = target_site
-    if not isinstance(target_site, (int, np.integer)):
+    if not isinstance(target_site, (int, np.integer)) or isinstance(target_site, bool):
         targets = np.asarray(target_site)
         if targets.ndim != 1 or targets.dtype.kind not in "iu":
             raise ConfigError("target_site must be a site or a 1-d sequence of "
@@ -188,8 +186,8 @@ def transfer_amplitude(initial_site: int, target_site, spec: SpectralDecompositi
         low, high = targets.min(initial=1), targets.max(initial=1)
     for name, site in (("initial_site", initial_site), ("target_site", low),
                        ("target_site", high)):
-        if not (1 <= site <= n):
-            raise ConfigError(f"{name} must lie in [1, {n}], got {site}")
+        if isinstance(site, bool) or not isinstance(site, (int, np.integer)) or not 1 <= site <= n:
+            raise ConfigError(f"{name} must be an integer in [1, {n}], got {site}")
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
         raise ConfigError("times must be finite")

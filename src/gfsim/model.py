@@ -96,35 +96,35 @@ class ArrayConfig:
 class HamiltonianMatrix:
     """Hermitian tridiagonal single-excitation Hamiltonian (site block only).
 
-    Construction validates shape, Hermiticity (1e-14 relative) and
-    tridiagonality, so downstream code can rely on the structure.
+    Construction copies the input once and checks shape, finiteness,
+    Hermiticity and tridiagonality (1e-14 relative), so code can rely on it.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.matrix, dtype=complex)
+        h = np.array(self.matrix, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
             raise ConfigError(f"Hamiltonian must be square, got shape {h.shape}")
-        if not np.all(np.isfinite(h.view(float))):
+        mag = np.abs(h)  # serves the finiteness, scale and off-band tests
+        scale = float(mag.max()) or 1.0  # NaN or inf exactly when an entry is
+        if not math.isfinite(scale):
             raise ConfigError("Hamiltonian entries must be finite")
-        scale = float(np.max(np.abs(h))) or 1.0
         herm_defect = float(np.max(np.abs(h - h.conj().T)))
         if herm_defect > 1e-14 * scale:
             raise ConfigError(
                 f"Hamiltonian not Hermitian: max|H - H^dag| = {herm_defect:.3e} "
                 f"exceeds 1e-14 * {scale:.3e}"
             )
-        band_defect = 0.0
-        if h.shape[0] > 2:
-            band_defect = float(
-                np.max(np.abs(np.triu(h, 2))) + np.max(np.abs(np.tril(h, -2)))
-            )
+        k = np.arange(h.shape[0])
+        above = np.subtract.outer(k, k) < -1  # j - i > 1; its transpose is below
+        band_defect = float(mag[above].max(initial=0.0) + mag[above.T].max(initial=0.0))
         if band_defect > 1e-14 * scale:
             raise ConfigError(
                 f"Hamiltonian not tridiagonal: off-band magnitude {band_defect:.3e}"
             )
-        object.__setattr__(self, "matrix", _readonly(h))
+        h.setflags(write=False)
+        object.__setattr__(self, "matrix", h)
 
     @property
     def dim(self) -> int:
@@ -141,20 +141,25 @@ def build_couplings(scale: float, n_sites: int) -> np.ndarray:
     return scale * np.sqrt(np.arange(1, int(n_sites), dtype=float))
 
 
+def _tridiagonal(diagonal, upper, lower, dtype) -> np.ndarray:
+    """N x N matrix with these main, upper and lower bands."""
+    n = len(diagonal)
+    h = np.zeros(n * n, dtype=dtype)
+    h[::n + 1], h[1::n + 1], h[n::n + 1] = diagonal, upper, lower
+    return h.reshape(n, n)
+
+
 def build_hamiltonian(config: ArrayConfig) -> HamiltonianMatrix:
     """Assemble the N x N site-block Hamiltonian from a config.
 
     Diagonal carries the frequencies; bond (k, k+1) carries
-    J*sqrt(k)*exp(i*eta), with the conjugate below the diagonal.
+    J*sqrt(k)*exp(i*eta), with the conjugate below the diagonal. The bands
+    are written straight into one array, which HamiltonianMatrix checks.
     """
-    n = config.n_sites
-    h = np.zeros((n, n), dtype=complex)
-    h[np.arange(n), np.arange(n)] = config.frequencies
-    bonds = build_couplings(config.coupling_scale, n) * np.exp(1j * config.coupling_phase)
-    idx = np.arange(n - 1)
-    h[idx, idx + 1] = bonds
-    h[idx + 1, idx] = np.conj(bonds)
-    return HamiltonianMatrix(h)
+    bonds = build_couplings(config.coupling_scale, config.n_sites) * np.exp(
+        1j * config.coupling_phase)
+    return HamiltonianMatrix(
+        _tridiagonal(config.frequencies, bonds, np.conj(bonds), complex))
 
 
 def switching_frequencies(base: float, m: int, n: int, n_sites: int) -> np.ndarray:

@@ -202,8 +202,8 @@ def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
     """Propagate rho0 for t_end under uniform loss gamma with RK4 steps <= dt.
 
     The step is shrunk slightly so an integer number of steps lands exactly
-    on t_end. The Hamiltonian must be Hermitian tridiagonal (ConfigError
-    otherwise). Subspace invariants (trace 1e-8, Hermiticity 1e-10, smallest
+    on t_end. A HamiltonianMatrix is used as checked; an array must pass as
+    one (ConfigError otherwise). Subspace invariants (trace 1e-8, Hermiticity 1e-10, smallest
     eigenvalue >= -1e-8) are enforced at 16 evenly spaced checkpoint times; a
     violation aborts with the measured defect at the earliest failing
     checkpoint (step too large). The run is repeated at dt/2 and the final
@@ -221,7 +221,7 @@ def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
     dt = float(dt)
     if not math.isfinite(dt) or dt <= 0.0:
         raise ConfigError(f"dt must be > 0, got {dt!r}")
-    h = HamiltonianMatrix(getattr(hamiltonian, "matrix", hamiltonian))
+    h = hamiltonian if isinstance(hamiltonian, HamiltonianMatrix) else HamiltonianMatrix(hamiltonian)
     if rho0.matrix.shape[0] != h.dim + 1:
         raise ConfigError(
             f"density matrix shape {rho0.matrix.shape} does not match "

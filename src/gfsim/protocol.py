@@ -133,20 +133,10 @@ class TransferPlan:
             raise ConfigError(f"plan doublet_purity must lie in [0, 1], got {self.doublet_purity!r}")
         if int(self.plus_overlap_sign) not in (-1, 1):
             raise ConfigError(f"plus_overlap_sign must be +1 or -1, got {self.plus_overlap_sign!r}")
-        object.__setattr__(self, "source", m)
-        object.__setattr__(self, "target", t)
-        object.__setattr__(self, "n_sites", n)
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "coupling_scale", float(self.coupling_scale))
-        object.__setattr__(self, "lambda_plus", float(self.lambda_plus))
-        object.__setattr__(self, "lambda_minus", float(self.lambda_minus))
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "lambda_mean", float(self.lambda_mean))
-        object.__setattr__(self, "transfer_time", float(self.transfer_time))
-        object.__setattr__(self, "eta_star", float(self.eta_star))
-        object.__setattr__(self, "doublet_purity", float(self.doublet_purity))
-        object.__setattr__(self, "plus_overlap_sign", int(self.plus_overlap_sign))
-        object.__setattr__(self, "predicted_peak", float(self.predicted_peak))
+        stored = vars(self)  # frozen: assign through the instance dict
+        stored["frequencies"] = freqs
+        for name, cast in _FIELD_CASTS:
+            stored[name] = cast(stored[name])
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -165,6 +155,11 @@ class TransferPlan:
         if missing:
             raise ConfigError(f"plan missing fields: {sorted(missing)}")
         return cls(**{k: data[k] for k in known})
+
+
+# every int and float field of TransferPlan is stored as that type
+_FIELD_CASTS = tuple((f.name, {"int": int, "float": float}[f.type])
+                     for f in fields(TransferPlan) if f.name != "frequencies")
 
 
 def _chain_run(d, b2, sites):
@@ -307,8 +302,10 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
             f"{_PURITY_REFUSE}; the two-level reduction has failed "
             "(reduce the coupling or pick a pair with detuned neighbours)"
         )
-    # ||H||_inf bounds ||H||_2, so this errs on the side of refusing
-    h_norm = float(np.max(np.abs(freqs) + np.append(bonds, 0.0) + np.append(0.0, bonds)))
+    # ||H||_inf bounds ||H||_2, so this errs on the side of refusing; row k
+    # sums (|omega_k| + J_k) + J_{k-1} in that order
+    b = [0.0, *bonds.tolist(), 0.0]
+    h_norm = max((abs(w) + b[k + 1]) + b[k] for k, w in enumerate(freqs.tolist()))
     if x_hi - x_lo < _RESOLVABLE_FACTOR * _EPS * h_norm:
         raise DoubletNotResolvedError(
             f"doublet not resolved for {m} -> {n}: splitting {x_hi - x_lo:.3e} "

@@ -199,6 +199,43 @@ def test_transfer_probability_rejects_bad_sites():
     for target in (0, 5, [1, 0], [2, 5], np.array([[1, 2], [3, 4]]), [1.0, 2.0]):
         with pytest.raises(ConfigError):
             transfer_amplitude(1, target, spec, [0.0, 1.0])
+    # sites are integers, as ArrayConfig and switching_frequencies require:
+    # 1.5 used to raise IndexError and True to answer for site 1
+    for site in (1.5, 2.0, True, np.bool_(True), np.float64(2.0)):
+        with pytest.raises(ConfigError, match="integer"):
+            transfer_amplitude(site, 2, spec, [0.0, 1.0])
+        with pytest.raises(ConfigError):
+            transfer_amplitude(2, site, spec, 1.0)
+    assert transfer_amplitude(np.int64(2), np.int32(3), spec, 0.7) == \
+        transfer_amplitude(2, 3, spec, 0.7)
+
+
+def test_decompose_refuses_non_finite_bare_arrays():
+    # a bare array goes through HamiltonianMatrix, so non-finite entries are
+    # a ConfigError (exit 2); both used to come back as a spectrum, the
+    # first as [-0.141, 0.141, 3.0] and the second as [nan, nan]
+    nan_diag = np.diag([0.0, np.nan, 3.0]) + 0.1 * (np.eye(3, k=1) + np.eye(3, k=-1))
+    nan_diag[1, 2] = nan_diag[2, 1] = 0.0
+    for bad in (nan_diag, np.array([[np.inf, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ConfigError, match="finite"):
+            decompose(bad)
+
+
+def test_decompose_residual_check_fails_on_nan():
+    # finite entries whose spectrum overflows: the multiply-back residual is
+    # NaN, which `residual > tol` let through; it must refuse (exit 4)
+    with np.errstate(all="ignore"), pytest.raises(NumericalInvariantError,
+                                                  match="residual"):
+        decompose(np.full((2, 2), 1e308))
+
+
+def test_decompose_of_bare_array_equals_its_hamiltonian_matrix():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 7, 12):
+        h = build_hamiltonian(random_config(rng, n))
+        spec, bare = decompose(h), decompose(np.array(h.matrix))
+        assert bare.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+        assert bare.eigenvectors.tobytes() == spec.eigenvectors.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfsim.errors import ConfigError
 from gfsim.model import (
@@ -82,6 +83,12 @@ def test_build_hamiltonian_structure():
     assert np.max(np.abs(np.triu(h, 2))) == 0.0
 
 
+def _chain(n):
+    """A valid complex tridiagonal matrix to spoil one entry of."""
+    bonds = 0.3 * np.exp(0.4j) * np.arange(1, n)
+    return np.diag(np.arange(1.0, n + 1)) + np.diag(bonds, 1) + np.diag(bonds.conj(), -1)
+
+
 def test_hamiltonian_matrix_rejects_bad_input():
     with pytest.raises(ConfigError):
         HamiltonianMatrix(np.ones((2, 3)))
@@ -95,6 +102,59 @@ def test_hamiltonian_matrix_rejects_bad_input():
     h = HamiltonianMatrix(np.diag([1.0, 2.0]).astype(complex))
     with pytest.raises(ValueError):
         h.matrix[0, 0] = 9.0
+    # one |H| array serves the finiteness, scale and off-band tests; each
+    # spoiled entry must still trip its own check, in the documented order
+    n = 5
+    cases = []
+    for (i, j), value, fragment in [
+        ((2, 2), np.nan, "finite"),            # NaN on the diagonal
+        ((0, 3), np.nan, "finite"),            # NaN off the band
+        ((1, 2), np.inf, "finite"),            # inf off the diagonal
+        ((0, n - 1), 1e-3, "Hermitian"),       # a lone off-band entry
+    ]:
+        bad = _chain(n)
+        bad[i, j] = value
+        cases.append((bad, fragment))
+    bad = _chain(n)
+    bad[2, 1] = bad[1, 2]                      # lower entry not the conjugate
+    cases.append((bad, "Hermitian"))
+    bad = _chain(n)
+    bad[0, n - 1] = bad[n - 1, 0] = 1e-3       # Hermitian corner pair
+    cases.append((bad, "tridiagonal"))
+    # the off-band defect is the largest entry above the band plus the
+    # largest below it: a pair each at 0.6 of 1e-14 * max|H| = 5e-14 fails
+    bad = _chain(n)
+    bad[0, 2] = bad[2, 0] = 3e-14
+    cases.append((bad, "tridiagonal"))
+    for bad, fragment in cases:
+        with pytest.raises(ConfigError, match=fragment):
+            HamiltonianMatrix(bad)
+    # the input is copied once: mutating it afterwards leaves .matrix alone
+    source = _chain(n)
+    h = HamiltonianMatrix(source)
+    source[0, 0] = 99.0
+    assert h.matrix[0, 0] == 1.0
+    assert h.matrix.tobytes() == _chain(n).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2 ** 31),
+       st.floats(min_value=1e-4, max_value=2.0),
+       st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
+def test_build_hamiltonian_equals_per_element_assembly(n, seed, coupling, eta):
+    # the bands are written by strided slices; every entry must be bitwise
+    # what writing it out one element at a time gives
+    freqs = np.random.default_rng(seed).uniform(-3.0, 3.0, n)
+    cfg = ArrayConfig(n, freqs, coupling, coupling_phase=eta)
+    phase = np.exp(1j * cfg.coupling_phase)
+    expected = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        expected[k, k] = cfg.frequencies[k]
+    for k in range(1, n):
+        bond = cfg.coupling_scale * math.sqrt(k) * phase
+        expected[k - 1, k] = bond
+        expected[k, k - 1] = np.conj(bond)
+    assert build_hamiltonian(cfg).matrix.tobytes() == expected.tobytes()
 
 
 def test_switching_profile_frozen_values():
