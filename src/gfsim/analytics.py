@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .model import _is_integer
 
 __all__ = [
     "TruncatedCoherentProfile",
@@ -29,7 +30,7 @@ __all__ = [
 
 
 def _validate_nx(n: int, x: float) -> tuple[int, float]:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ConfigError(f"term count must be an integer >= 1, got {n!r}")
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
@@ -94,7 +95,7 @@ def truncated_coherent_amplitudes(coupling: float, t: float, n_sites: int) -> Tr
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ConfigError(f"time must be finite and >= 0, got {t!r}")
-    if not isinstance(n_sites, (int, np.integer)) or n_sites < 1:
+    if not _is_integer(n_sites) or n_sites < 1:
         raise ConfigError(f"n_sites must be an integer >= 1, got {n_sites!r}")
     n = int(n_sites)
 

@@ -32,8 +32,7 @@ from .analytics import truncated_coherent_amplitudes
 from .dynamics import decompose, transfer_amplitude, transfer_probability
 from .errors import ClosedFormInapplicableError, ConfigError, \
     NumericalInvariantError, RegimeError
-from .model import ArrayConfig, build_hamiltonian, config_from_dict, config_to_dict, \
-    wrap_phase
+from .model import ArrayConfig, build_hamiltonian, config_from_dict, config_to_dict
 from .open_system import average_transfer_fidelity, reference_qubit_states, \
     sample_qubit_states
 from .protocol import make_plan, plan_config, qubit_fidelity_curve
@@ -527,7 +526,7 @@ def cmd_qubit(exp: ResolvedExperiment) -> int:
         "plan": plan.to_dict(),
         "alpha": [alpha.real, alpha.imag],
         "beta": [beta.real, beta.imag],
-        "eta_used": float(plan.eta_star if eta is None else wrap_phase(eta)),
+        "eta_used": plan_config(plan, eta).coupling_phase,
         "peak_fidelity": float(np.max(numeric)),
         "fidelity_at_transfer_time": float(at_star),
         "closed_form_fidelity_at_transfer_time": float(at_star_closed),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalInvariantError
-from .model import HamiltonianMatrix, _readonly, _tridiagonal
+from .model import HamiltonianMatrix, _is_integer, _readonly, _tridiagonal
 
 __all__ = [
     "ExcitationState",
@@ -74,6 +74,8 @@ def single_photon_state(n_sites: int, site: int) -> ExcitationState:
 
 def qubit_state(n_sites: int, site: int, alpha: complex, beta: complex) -> ExcitationState:
     """Superposition alpha|vacuum> + beta|photon at site>."""
+    if not (_is_integer(n_sites) and _is_integer(site)):
+        raise ConfigError(f"n_sites and site must be integers, got {n_sites!r}, {site!r}")
     if not (1 <= site <= n_sites):
         raise ConfigError(f"site must lie in [1, {n_sites}], got {site}")
     amps = np.zeros(n_sites + 1, dtype=complex)
@@ -178,7 +180,7 @@ def transfer_amplitude(initial_site: int, target_site, spec: SpectralDecompositi
     """
     n = spec.n_sites
     targets = low = high = target_site
-    if not isinstance(target_site, (int, np.integer)) or isinstance(target_site, bool):
+    if not _is_integer(target_site):
         targets = np.asarray(target_site)
         if targets.ndim != 1 or targets.dtype.kind not in "iu":
             raise ConfigError("target_site must be a site or a 1-d sequence of "
@@ -186,7 +188,7 @@ def transfer_amplitude(initial_site: int, target_site, spec: SpectralDecompositi
         low, high = targets.min(initial=1), targets.max(initial=1)
     for name, site in (("initial_site", initial_site), ("target_site", low),
                        ("target_site", high)):
-        if isinstance(site, bool) or not isinstance(site, (int, np.integer)) or not 1 <= site <= n:
+        if not _is_integer(site) or not 1 <= site <= n:
             raise ConfigError(f"{name} must be an integer in [1, {n}], got {site}")
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):

@@ -46,6 +46,11 @@ def wrap_phase(eta: float) -> float:
     return wrapped
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; bool is not a count or a site."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
@@ -68,7 +73,7 @@ class ArrayConfig:
 
     def __post_init__(self) -> None:
         n = self.n_sites
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        if not _is_integer(n):
             raise ConfigError(f"n_sites must be an integer, got {n!r}")
         if n < 2:
             raise ConfigError(f"n_sites must be >= 2 (chain degenerates), got {n}")
@@ -133,7 +138,7 @@ class HamiltonianMatrix:
 
 def build_couplings(scale: float, n_sites: int) -> np.ndarray:
     """Bond strengths J*sqrt(k) for k = 1..n_sites-1 (strictly increasing)."""
-    if not isinstance(n_sites, (int, np.integer)) or n_sites < 2:
+    if not _is_integer(n_sites) or n_sites < 2:
         raise ConfigError(f"n_sites must be an integer >= 2, got {n_sites!r}")
     scale = float(scale)
     if not math.isfinite(scale) or scale <= 0.0:
@@ -173,7 +178,7 @@ def switching_frequencies(base: float, m: int, n: int, n_sites: int) -> np.ndarr
     frequencies are bitwise equal, not merely equal to rounding.
     """
     for name, val in (("m", m), ("n", n), ("n_sites", n_sites)):
-        if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
+        if not _is_integer(val):
             raise ConfigError(f"{name} must be an integer, got {val!r}")
     if n_sites < 2:
         raise ConfigError(f"n_sites must be >= 2, got {n_sites}")

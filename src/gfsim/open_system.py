@@ -33,7 +33,7 @@ import numpy as np
 
 from .dynamics import ExcitationState, decompose, transfer_amplitude
 from .errors import ConfigError, NumericalInvariantError
-from .model import HamiltonianMatrix, _readonly, build_hamiltonian
+from .model import HamiltonianMatrix, _is_integer, _readonly, build_hamiltonian
 from .protocol import TransferPlan, plan_config
 
 __all__ = [
@@ -259,7 +259,7 @@ def sample_qubit_states(samples: int, seed) -> tuple[np.ndarray, np.ndarray]:
     alpha = cos(theta/2) real >= 0 with cos(theta) uniform on [-1, 1];
     beta = e^{i phi} sin(theta/2) with phi uniform on [0, 2 pi).
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
+    if not _is_integer(samples) or samples < 1:
         raise ConfigError(f"samples must be an integer >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     cos_t = rng.uniform(-1.0, 1.0, int(samples))

@@ -27,20 +27,22 @@ whether the symmetric combination (|m>+|n>)/sqrt2 is the top or bottom of
 the doublet alternates with the site distance. TransferPlan stores the
 doublet ordered by eigenvalue (theta > 0 always) and keeps the orientation
 in plus_overlap_sign; the closed-form fidelity and eta* both consume it.
+TransferPlan stores only what make_plan measures and derives n_sites, theta,
+lambda_mean, t* and eta* itself, so a plan document cannot contradict them.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
 
 from .dynamics import decompose, transfer_amplitude
 from .errors import ConfigError, DoubletNotResolvedError
-from .model import (ArrayConfig, build_couplings, build_hamiltonian,
+from .model import (ArrayConfig, _is_integer, build_couplings, build_hamiltonian,
                     switching_frequencies, wrap_phase)
 
 __all__ = [
@@ -79,64 +81,61 @@ class DoubletPurityWarning(UserWarning):
 class TransferPlan:
     """Everything needed to run and to predict one m -> n transfer.
 
-    lambda_plus/lambda_minus are the doublet eigenvalues ordered by value
-    (lambda_plus is the upper level), theta = (lambda_plus - lambda_minus)/2
-    > 0, transfer_time = pi/(2*theta), eta_star the bond phase that makes
-    the transferred amplitude real positive at t*. plus_overlap_sign is +1
-    when the symmetric combination (|m>+|n>)/sqrt2 sits at the top of the
-    doublet, -1 when at the bottom. predicted_peak is the doublet-model
-    estimate of max_t P_mn; doublet_purity the smaller of the two doublet
-    overlap weights.
+    Stored (the constructor's arguments, what make_plan measures): the
+    sites, frequencies, coupling_scale, the doublet eigenvalues lambda_plus
+    > lambda_minus, doublet_purity (the smaller of the two doublet overlap
+    weights), plus_overlap_sign (+1 when (|m>+|n>)/sqrt2 is the top level,
+    -1 when the bottom) and predicted_peak (the doublet-model max_t P_mn).
+    Derived here, once: n_sites = len(frequencies), theta = (lambda_plus -
+    lambda_minus)/2 > 0, lambda_mean, transfer_time = pi/(2*theta), and
+    eta_star, the bond phase that makes the transferred amplitude +1 at t*.
     """
 
     source: int
     target: int
-    n_sites: int
+    n_sites: int = field(init=False)
     frequencies: np.ndarray
     coupling_scale: float
     lambda_plus: float
     lambda_minus: float
-    theta: float
-    lambda_mean: float
-    transfer_time: float
-    eta_star: float
+    theta: float = field(init=False)
+    lambda_mean: float = field(init=False)
+    transfer_time: float = field(init=False)
+    eta_star: float = field(init=False)
     doublet_purity: float
     plus_overlap_sign: int
     predicted_peak: float
 
     def __post_init__(self) -> None:
-        n = int(self.n_sites)
-        if n < 2:
-            raise ConfigError(f"plan n_sites must be >= 2, got {n}")
-        m, t = int(self.source), int(self.target)
-        if not (1 <= m <= n and 1 <= t <= n) or m == t:
-            raise ConfigError(
-                f"plan sites must be distinct and in [1, {n}], got {m} -> {t}"
-            )
         freqs = np.array(self.frequencies, dtype=float)
-        if freqs.shape != (n,) or not np.all(np.isfinite(freqs)):
-            raise ConfigError("plan frequencies must be a finite length-n_sites vector")
+        if freqs.ndim != 1 or len(freqs) < 2 or not np.all(np.isfinite(freqs)):
+            raise ConfigError("plan frequencies must be a finite vector of length >= 2")
         freqs.setflags(write=False)
-        if not (float(self.coupling_scale) > 0.0):
-            raise ConfigError(f"plan coupling_scale must be > 0, got {self.coupling_scale!r}")
-        if not (float(self.theta) > 0.0):
-            raise ConfigError(f"plan theta must be > 0, got {self.theta!r}")
-        expected = (float(self.lambda_plus) - float(self.lambda_minus)) / 2.0
-        if not math.isclose(float(self.theta), expected, rel_tol=1e-12, abs_tol=0.0):
-            raise ConfigError("plan theta inconsistent with doublet eigenvalues")
-        expected_t = math.pi / (2.0 * float(self.theta))
-        if not math.isclose(float(self.transfer_time), expected_t, rel_tol=1e-12):
-            raise ConfigError("plan transfer_time inconsistent with theta")
-        if not (-math.pi <= float(self.eta_star) < math.pi):
-            raise ConfigError(f"plan eta_star must lie in [-pi, pi), got {self.eta_star!r}")
-        if not (0.0 <= float(self.doublet_purity) <= 1.0):
-            raise ConfigError(f"plan doublet_purity must lie in [0, 1], got {self.doublet_purity!r}")
-        if int(self.plus_overlap_sign) not in (-1, 1):
-            raise ConfigError(f"plus_overlap_sign must be +1 or -1, got {self.plus_overlap_sign!r}")
         stored = vars(self)  # frozen: assign through the instance dict
         stored["frequencies"] = freqs
         for name, cast in _FIELD_CASTS:
+            if cast is int and not _is_integer(stored[name]):
+                raise ConfigError(f"plan {name} must be an integer, got {stored[name]!r}")
             stored[name] = cast(stored[name])
+        n, m, t, sign = len(freqs), self.source, self.target, self.plus_overlap_sign
+        if not (1 <= m <= n and 1 <= t <= n) or m == t:
+            raise ConfigError(f"plan sites must be distinct and in [1, {n}], got {m} -> {t}")
+        if not (self.coupling_scale > 0.0):
+            raise ConfigError(f"plan coupling_scale must be > 0, got {self.coupling_scale!r}")
+        if not (0.0 <= self.doublet_purity <= 1.0):
+            raise ConfigError(f"plan doublet_purity must lie in [0, 1], got {self.doublet_purity!r}")
+        if sign not in (-1, 1):
+            raise ConfigError(f"plus_overlap_sign must be +1 or -1, got {sign!r}")
+        theta = (self.lambda_plus - self.lambda_minus) / 2.0
+        if not (theta > 0.0):
+            raise ConfigError(f"plan theta must be > 0, got {theta!r}")
+        lambda_mean = (self.lambda_plus + self.lambda_minus) / 2.0
+        transfer_time = math.pi / (2.0 * theta)
+        # the transferred amplitude at t* is -i * sign * exp(-i lambda_mean t*)
+        # * exp(-i (n-m) eta); eta_star makes it exactly +1
+        eta_star = wrap_phase((-sign * 0.5 * math.pi - lambda_mean * transfer_time) / (t - m))
+        stored.update(n_sites=n, theta=theta, lambda_mean=lambda_mean,
+                      transfer_time=transfer_time, eta_star=eta_star)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -145,6 +144,8 @@ class TransferPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "TransferPlan":
+        """Plan built from a to_dict document's stored keys; its derived keys
+        must equal the rebuilt plan's exactly."""
         if not isinstance(data, Mapping):
             raise ConfigError(f"plan must be a mapping, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
@@ -154,12 +155,17 @@ class TransferPlan:
         missing = known - set(data)
         if missing:
             raise ConfigError(f"plan missing fields: {sorted(missing)}")
-        return cls(**{k: data[k] for k in known})
+        plan = cls(**{f.name: data[f.name] for f in fields(cls) if f.init})
+        wrong = [f.name for f in fields(cls)
+                 if not f.init and data[f.name] != getattr(plan, f.name)]
+        if wrong:
+            raise ConfigError(f"plan fields {wrong} differ from the values derived from the rest")
+        return plan
 
 
-# every int and float field of TransferPlan is stored as that type
+# every stored int and float field of TransferPlan is kept as that type
 _FIELD_CASTS = tuple((f.name, {"int": int, "float": float}[f.type])
-                     for f in fields(TransferPlan) if f.name != "frequencies")
+                     for f in fields(TransferPlan) if f.init and f.name != "frequencies")
 
 
 def _chain_run(d, b2, sites):
@@ -270,13 +276,15 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
     The template supplies n_sites, coupling_scale and the base frequency
     (its first entry); the parabolic profile for the requested pair replaces
     the template's own frequencies, and the template's bond phase is ignored
-    (the plan computes its own eta_star; loss is applied by open_system at
+    (the plan derives its own eta_star; loss is applied by open_system at
     run time). m > n is allowed and plans the reverse transfer over the same
     profile.
 
     The doublet comes from exact partitioning onto {m, n} (module
-    docstring), so theta, purity and predicted_peak do not depend on the
-    LAPACK build; lambda+- are each rounded once to float64.
+    docstring), so purity, predicted_peak and the orientation sign do not
+    depend on the LAPACK build; lambda+- are each rounded once to float64.
+    These measured values, with the sites and the profile, are all the plan
+    is given: TransferPlan derives theta, lambda_mean, t* and eta* from them.
 
     Refuses (DoubletNotResolvedError) below purity 0.9, and when the
     splitting 2*theta is below 1e3 * eps * ||H|| (too narrow for the
@@ -322,33 +330,15 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
             stacklevel=2,
         )
 
-    lam_hi = omega + x_hi
-    lam_lo = omega + x_lo
-    theta = (lam_hi - lam_lo) / 2.0
-    lambda_mean = (lam_hi + lam_lo) / 2.0
-    transfer_time = math.pi / (2.0 * theta)
-
-    # Phase condition: the transferred amplitude at t* is
-    # -i * sign * exp(-i lambda_mean t*) * exp(-i (n-m) eta); eta_star makes
-    # it exactly +1. Uses the stored-field product so plan consumers
-    # reproduce the cancellation bit for bit.
-    delta = n - m
-    eta_star = wrap_phase((-sign * 0.5 * math.pi - lambda_mean * transfer_time) / delta)
-
     predicted_peak = (abs(top[0] * top[1]) + abs(bottom[0] * bottom[1])) ** 2
 
     return TransferPlan(
         source=m,
         target=n,
-        n_sites=template.n_sites,
         frequencies=freqs,
         coupling_scale=template.coupling_scale,
-        lambda_plus=lam_hi,
-        lambda_minus=lam_lo,
-        theta=theta,
-        lambda_mean=lambda_mean,
-        transfer_time=transfer_time,
-        eta_star=eta_star,
+        lambda_plus=omega + x_hi,
+        lambda_minus=omega + x_lo,
         doublet_purity=purity,
         plus_overlap_sign=sign,
         predicted_peak=predicted_peak,
@@ -356,7 +346,8 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
 
 
 def plan_config(plan: TransferPlan, eta: float | None = None) -> ArrayConfig:
-    """ArrayConfig that realizes a plan (bond phase defaults to eta_star)."""
+    """ArrayConfig that realizes a plan: bond phase eta_star, or eta wrapped
+    into [-pi, pi). Its coupling_phase is the phase the plan runs at."""
     return ArrayConfig(
         n_sites=plan.n_sites,
         frequencies=plan.frequencies,
@@ -383,9 +374,10 @@ def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
             f"qubit amplitudes not normalized: |alpha|^2 + |beta|^2 = {norm!r}"
         )
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    eta_used = plan.eta_star if eta is None else wrap_phase(eta)
+    cfg = plan_config(plan, eta)
+    eta_used = cfg.coupling_phase
 
-    spec = decompose(build_hamiltonian(plan_config(plan, eta=eta_used)))
+    spec = decompose(build_hamiltonian(cfg))
     amp = transfer_amplitude(plan.source, plan.target, spec, t_arr)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
     numeric = np.abs(a2 + b2 * amp) ** 2

@@ -139,3 +139,6 @@ def test_profile_rejections():
         truncated_coherent_amplitudes(0.05, -1.0, 5)
     with pytest.raises(ConfigError):
         truncated_coherent_amplitudes(0.05, 1.0, 0)
+    for n_sites in (True, 5.0):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            truncated_coherent_amplitudes(0.05, 1.0, n_sites)

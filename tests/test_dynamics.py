@@ -74,6 +74,11 @@ def test_qubit_state_structure():
     assert np.sum(np.abs(s.amplitudes) ** 2) == pytest.approx(1.0)
     with pytest.raises(ConfigError):
         qubit_state(5, 3, 0.9, 0.9)               # not normalized
+    # a float site indexed nothing, a bool site was read as a mask
+    for call in (lambda: qubit_state(4, 1.5, 0.6, 0.8), lambda: qubit_state(4, True, 0.6, 0.8),
+                 lambda: qubit_state(4.0, 1, 0.6, 0.8), lambda: single_photon_state(4, 2.0)):
+        with pytest.raises(ConfigError, match="must be integers"):
+            call()
 
 
 def test_decompose_eigensystem_properties():

@@ -462,6 +462,9 @@ class TestAveragedFidelityStudy:
         with pytest.raises(ConfigError):
             average_transfer_fidelity(plan_13, np.array([1e-3]),
                                       *sample_qubit_states(0, 1))
+        for samples in (True, 2.0):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                sample_qubit_states(samples, 1)
         # a NaN or inf norm fails the check too: it is `not <= tol`
         for bad in (([0.9, 0.9], [0.9, 0.1]), ([math.nan, 1.0], [1.0, 0.0]),
                     ([1.0], [math.inf])):

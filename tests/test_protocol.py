@@ -9,6 +9,7 @@ and phase formulas, and hold on any LAPACK build.
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -92,8 +93,13 @@ def test_plan_matches_frozen_values(frozen_pair, plan_13, plan_14, plan_24, plan
 
 def test_plan_internal_relations(plan_24):
     p = plan_24
-    assert p.theta == pytest.approx((p.lambda_plus - p.lambda_minus) / 2, rel=1e-12)
-    assert p.transfer_time == pytest.approx(math.pi / (2 * p.theta), rel=1e-12)
+    # the constructor takes what make_plan measures; the rest is derived
+    assert [f.name for f in fields(TransferPlan) if f.init] == [
+        "source", "target", "frequencies", "coupling_scale", "lambda_plus",
+        "lambda_minus", "doublet_purity", "plus_overlap_sign", "predicted_peak"]
+    assert p.n_sites == len(p.frequencies)
+    assert p.theta == (p.lambda_plus - p.lambda_minus) / 2
+    assert p.transfer_time == math.pi / (2 * p.theta)
     assert -math.pi <= p.eta_star < math.pi
     assert p.lambda_minus < p.lambda_plus
     np.testing.assert_allclose(p.frequencies,
@@ -258,27 +264,49 @@ def test_resonant_array_never_reaches_far_end():
     assert float(np.max(probs)) <= bound + 1e-12
 
 
-def test_plan_json_roundtrip(plan_24):
-    blob = json.dumps(plan_24.to_dict())
-    again = TransferPlan.from_dict(json.loads(blob))
-    assert again.theta == plan_24.theta
-    assert again.eta_star == plan_24.eta_star
-    assert again.transfer_time == plan_24.transfer_time
-    np.testing.assert_array_equal(again.frequencies, plan_24.frequencies)
-    assert again.plus_overlap_sign == plan_24.plus_overlap_sign
+def test_plan_json_roundtrip():
+    # every plan make_plan builds for N = 3..8 at J = 1.3e-3, both directions
+    built = 0
+    for n_sites in range(3, 9):
+        template = resonant_template(n_sites=n_sites)
+        for m in range(1, n_sites + 1):
+            for n in range(1, n_sites + 1):
+                if m == n:
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DoubletPurityWarning)
+                    try:
+                        plan = make_plan(template, m, n)
+                    except DoubletNotResolvedError:
+                        continue
+                again = TransferPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
+                for f in fields(TransferPlan):
+                    ours, theirs = getattr(again, f.name), getattr(plan, f.name)
+                    assert type(ours) is type(theirs), f.name
+                    assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes(), f.name
+                built += 1
+    assert built > 50
 
 
 def test_plan_from_dict_rejects_corruption(plan_24):
-    data = plan_24.to_dict()
-    data["bogus"] = 1.0
-    with pytest.raises(ConfigError):
-        TransferPlan.from_dict(data)
+    # (key, corrupted value, what the refusal names)
+    corruptions = [
+        ("bogus", 1.0, "unknown"),
+        ("theta", plan_24.theta * 1.5, "theta"),         # breaks theta = (l+ - l-)/2
+        ("lambda_mean", plan_24.lambda_mean + 0.5, "lambda_mean"),
+        ("eta_star", 0.0, "eta_star"),
+        ("plus_overlap_sign", -plan_24.plus_overlap_sign, "eta_star"),
+        ("n_sites", 6.7, "n_sites"),
+        ("source", 1.5, "integer"),
+        ("source", True, "integer"),
+    ]
+    for key, value, named in corruptions:
+        data = plan_24.to_dict()
+        data[key] = value
+        with pytest.raises(ConfigError, match=named):
+            TransferPlan.from_dict(data)
     data = plan_24.to_dict()
     del data["theta"]
-    with pytest.raises(ConfigError):
-        TransferPlan.from_dict(data)
-    data = plan_24.to_dict()
-    data["theta"] = data["theta"] * 1.5      # breaks theta = (l+ - l-)/2
     with pytest.raises(ConfigError):
         TransferPlan.from_dict(data)
 
