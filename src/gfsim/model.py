@@ -15,6 +15,7 @@ to the first cavity's resonance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -49,6 +50,13 @@ def wrap_phase(eta: float) -> float:
 def _is_integer(value) -> bool:
     """True for a Python or numpy integer; bool is not a count or a site."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """True for a Python or numpy int or float that a finite float64 holds;
+    bool and numeric strings are not numbers (NaN fails the comparison)."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -211,8 +219,8 @@ def _require_number(data: Mapping, key: str, default=None):
             raise ConfigError(f"config missing required field '{key}'")
         return default
     val = data[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"config field '{key}' must be a number, got {val!r}")
+    if not _is_real(val):
+        raise ConfigError(f"config field '{key}' must be a finite number, got {val!r}")
     return val
 
 
@@ -263,6 +271,10 @@ def config_from_dict(data: Mapping) -> ArrayConfig:
                 f"frequency preset must be 'resonant' or 'switching', got {preset!r}"
             )
     elif isinstance(freq_spec, (list, tuple)):
+        if not all(map(_is_real, freq_spec)):
+            raise ConfigError(
+                f"config field 'frequencies' must list finite numbers, got {freq_spec!r}"
+            )
         frequencies = freq_spec
     else:
         raise ConfigError(

@@ -12,7 +12,8 @@ gamma = 0 limit.
 integrate_master is classical fixed-step RK4 evaluated per eigenmode of H:
 k steps multiply each mode by R(dt*mu)^k (_rk4_stack). Its 16 checkpoints
 and the dt/2 rerun that verifies it by step halving are one batched
-evaluation, and one function checks the subspace invariants (trace,
+evaluation: one log R per step size and mode, then exp(k log R) for each
+row's step count k. One function checks the subspace invariants (trace,
 Hermiticity, positivity) on the whole stack, which the run returns as one
 read-only array.
 
@@ -131,10 +132,14 @@ def _check_states(stack: np.ndarray, where) -> None:
     )
 
 
-def _rk4_factor(z: np.ndarray) -> np.ndarray:
-    """R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: one classical RK4 step of
-    x' = mu x with z = dt*mu."""
-    return 1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+def _rk4_powers(z: np.ndarray, steps: np.ndarray,
+                which: np.ndarray) -> np.ndarray:
+    """Row i is R(z[which[i]])^steps[i], where R(z) = 1 + z + z^2/2 + z^3/6
+    + z^4/24 is one classical RK4 step of x' = mu x with z = dt*mu. It is
+    exp(steps[i] * log R): one log per step size and mode, however many
+    rows share it."""
+    log_r = np.log(1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0)
+    return np.exp(steps.reshape((-1,) + (1,) * (z.ndim - 1)) * log_r[which])
 
 
 def _rk4_stack(h: HamiltonianMatrix, gamma: float, rho: np.ndarray,
@@ -148,10 +153,10 @@ def _rk4_stack(h: HamiltonianMatrix, gamma: float, rho: np.ndarray,
     mu_jk = -i(lambda_j - lambda_k) - gamma, and component k of the
     vacuum-site row v V has mu_k = i lambda_k - gamma/2. The RK4 map of a
     linear equation is the polynomial R(dt*L), so k steps multiply each mode
-    by R(dt*mu)^k exactly: R is evaluated once per step size and raised to
-    every row's count in one broadcast. The full generator is trace-free, so
-    the full RK4 map keeps the trace and rho00 is whatever the site block
-    lost.
+    by R(dt*mu)^k exactly: log R is taken once per step size and mode, and
+    row i is exp(k_i * log R). counts are floats, exact below 2^53 steps.
+    The full generator is trace-free, so the full RK4 map keeps the trace
+    and rho00 is whatever the site block lost.
     """
     spec = decompose(h)
     lam, vec = spec.eigenvalues, spec.eigenvectors
@@ -160,13 +165,14 @@ def _rk4_stack(h: HamiltonianMatrix, gamma: float, rho: np.ndarray,
     mu_v = 1j * lam - 0.5 * gamma
     # row i takes steps[i] steps of size sizes[which[i]]
     sizes = np.array([dt, dt / 2.0])
-    steps = np.append(counts, 2 * counts[-1])
+    steps = np.append(counts, 2.0 * counts[-1])
     which = np.zeros(steps.shape[0], dtype=int)
     which[-1] = 1
-    # the powers come before any complex matmul: straight after one, the
-    # complex power ran ~5x slower on AVX-512 hardware
-    f_ss = _rk4_factor(sizes[:, None, None] * mu_ss)[which] ** steps[:, None, None]
-    f_v = _rk4_factor(sizes[:, None] * mu_v)[which] ** steps[:, None]
+    # the modal powers come before any complex matmul: straight after one,
+    # complex log and exp (as inside a complex power) ran ~5x slower on
+    # AVX-512 hardware
+    f_ss = _rk4_powers(sizes[:, None, None] * mu_ss, steps, which)
+    f_v = _rk4_powers(sizes[:, None] * mu_v, steps, which)
     ss = vec @ ((vec_h @ rho[1:, 1:] @ vec) * f_ss) @ vec_h
     v = ((rho[0, 1:] @ vec) * f_v) @ vec_h
     out = np.empty((steps.shape[0],) + rho.shape, dtype=complex)
@@ -234,8 +240,10 @@ def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
 
     n_steps = max(1, math.ceil(t_end / dt - 1e-12))
     dt_eff = t_end / n_steps
+    # float64: 2 * counts[-1] for the dt/2 run cannot wrap as int64 would
     counts = np.array(sorted({max(1, round(n_steps * i / _CHECKPOINT_COUNT))
-                              for i in range(1, _CHECKPOINT_COUNT + 1)}))
+                              for i in range(1, _CHECKPOINT_COUNT + 1)}),
+                      dtype=float)
     times = counts * dt_eff
     stack = _rk4_stack(h, gamma, rho0.matrix, dt_eff, counts)
     states = stack[:-1]

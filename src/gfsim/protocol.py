@@ -42,8 +42,8 @@ import numpy as np
 
 from .dynamics import decompose, transfer_amplitude
 from .errors import ConfigError, DoubletNotResolvedError
-from .model import (ArrayConfig, _is_integer, build_couplings, build_hamiltonian,
-                    switching_frequencies, wrap_phase)
+from .model import (ArrayConfig, _is_integer, _is_real, build_couplings,
+                    build_hamiltonian, switching_frequencies, wrap_phase)
 
 __all__ = [
     "TransferPlan",
@@ -107,15 +107,18 @@ class TransferPlan:
     predicted_peak: float
 
     def __post_init__(self) -> None:
+        if (np.ndim(self.frequencies) != 1 or len(self.frequencies) < 2
+                or not all(map(_is_real, self.frequencies))):
+            raise ConfigError("plan frequencies must be a vector of >= 2 finite numbers")
         freqs = np.array(self.frequencies, dtype=float)
-        if freqs.ndim != 1 or len(freqs) < 2 or not np.all(np.isfinite(freqs)):
-            raise ConfigError("plan frequencies must be a finite vector of length >= 2")
         freqs.setflags(write=False)
         stored = vars(self)  # frozen: assign through the instance dict
         stored["frequencies"] = freqs
         for name, cast in _FIELD_CASTS:
             if cast is int and not _is_integer(stored[name]):
                 raise ConfigError(f"plan {name} must be an integer, got {stored[name]!r}")
+            if cast is float and not _is_real(stored[name]):
+                raise ConfigError(f"plan {name} must be a finite number, got {stored[name]!r}")
             stored[name] = cast(stored[name])
         n, m, t, sign = len(freqs), self.source, self.target, self.plus_overlap_sign
         if not (1 <= m <= n and 1 <= t <= n) or m == t:

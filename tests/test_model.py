@@ -246,6 +246,13 @@ def test_config_from_dict_rejections():
                           "J": 0.1})  # resonant takes no pair
     with pytest.raises(ConfigError):
         config_from_dict({"n_sites": 1, "frequencies": [1.0], "J": 0.1})
+    # a scalar field is a finite JSON number: not true, a string, Infinity
+    # or an int no float holds
+    for value in (True, "0.1", math.inf, math.nan, 10 ** 400):
+        with pytest.raises(ConfigError, match="'J' must be a finite number"):
+            config_from_dict({"n_sites": 3, "frequencies": [1, 1, 1], "J": value})
+        with pytest.raises(ConfigError, match="'frequencies' must list finite numbers"):
+            config_from_dict({"n_sites": 3, "frequencies": [1, value, 1], "J": 0.1})
     # no model reads a loss rate from the array config; loss enters as the
     # explicit gamma of the open-system calls
     with pytest.raises(ConfigError, match="gamma"):

@@ -9,6 +9,7 @@ e^{-gamma t / 2} around the unitary flow).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gfsim.dynamics import decompose, evolve, qubit_state, single_photon_state, 
 from gfsim.open_system import (
     DensityMatrix,
     average_transfer_fidelity,
+    _rk4_powers,
     integrate_master,
     reference_qubit_states,
     sample_qubit_states,
@@ -195,6 +197,110 @@ def test_step_defect_equals_explicit_halving():
     assert abs(run.step_defect - defect) <= 1e-14
 
 
+# R(z)^k for k in RK4_POWER_COUNTS, with R the RK4 polynomial and z taken as
+# the exact float64 value   [mpmath, 50 dps, printed to 20 digits]
+RK4_POWER_COUNTS = (1, 7, 99, 100, 3125, 10 ** 7, 2 * 10 ** 7)
+FROZEN_RK4_POWERS = {
+    complex(-1.3e-7, -2.5e-4): (  # damped: a site coherence of the benchmark's long runs
+        complex(9.9999983875001267526e-1, -2.4999996489583578958e-4),
+        complex(9.9999755875219827411e-1, -1.7499975142725075138e-3),
+        complex(9.9968086840881264944e-1, -2.4747154759146859346e-2),
+        complex(9.996745204224642312e-1, -2.499707095067770991e-2),
+        complex(7.0974549088461072312e-1, -7.0388150150271029398e-1),
+        complex(2.0707650057174726682e-1, 1.7718041970063470897e-1),
+        complex(1.1487775963747782029e-2, 7.3379802562881808019e-2),
+    ),
+    complex(-6.5e-8, 1e-3): (  # damped: their vacuum row
+        complex(9.9999943500007627917e-1, 9.9999976833334629998e-4),
+        complex(9.9997504511129246807e-1, 6.999939648500068668e-3),
+        complex(9.950970977055657134e-1, 9.8837726707861396846e-2),
+        complex(9.9499769777197095894e-1, 9.9832767731728097145e-2),
+        complex(-9.9965926866848787853e-1, 1.6588522343530403271e-2),
+        complex(-4.9706868883318981628e-1, -1.5954470099518514836e-1),
+        complex(2.2162276980270344949e-1, 1.5860935066791999225e-1),
+    ),
+    complex(-2e-5, 0.02): (  # damped, R^k down to 1e-174
+        complex(9.9978001086662533333e-1, 1.9998266697333307083e-2),
+        complex(9.9007737570071819221e-1, 1.3952357979053647544e-1),
+        complex(-3.9709185059813855483e-1, 9.1562322632596629418e-1),
+        complex(-4.1531537218039477683e-1, 9.0748065043430992126e-1),
+        complex(8.8815888950147728996e-1, -3.0605667427478629913e-1),
+        complex(1.3803286415448457654e-87, -9.9249793682770702753e-89),
+        complex(1.8954566371229667598e-174, -2.739946657754901981e-175),
+    ),
+    1e-3j: (  # lossless, |R| = 1 - 7e-21
+        complex(9.9999950000004166667e-1, 9.9999983333333335415e-4),
+        complex(9.9997550010004150362e-1, 6.9999428334733333168e-3),
+        complex(9.9510350117599259245e-1, 9.883836273067916313e-2),
+        complex(9.9500416527802584839e-1, 9.9833416646827325139e-2),
+        complex(-9.9986234508168613168e-1, 1.6591892229373876989e-2),
+        complex(-9.5215536828435296722e-1, -3.0561438880908287294e-1),
+        complex(8.131996907055625536e-1, 5.8198476185901948582e-1),
+    ),
+    0.3j: (  # lossless, |R| = 1 - 5e-6
+        complex(9.5533750000000000328e-1, 2.954999999999999894e-1),
+        complex(-5.0470996459394221464e-1, 8.6324838609056109799e-1),
+        complex(-1.464686907405779855e-1, -9.8871447363284299209e-1),
+        complex(1.5223809411812817197e-1, -9.8783751156805693836e-1),
+        complex(3.159071524074463087e-1, 9.3241737059885620337e-1),
+        complex(-1.2475645376117816154e-22, -1.3309255935137684257e-22),
+        complex(-2.1494565996347827757e-45, 3.3208311453353810373e-44),
+    ),
+    0j: (  # a population mode without loss: R = 1
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+        complex(1.0, 0.0),
+    ),
+    1j * (2.0 * math.sqrt(2.0) * (1.0 - 1e-6)): (  # just inside the edge on the imaginary axis
+        complex(-3.3333599998800002693e-1, -9.4280055631200278027e-1),
+        complex(6.9083935046144144767e-1, -7.2293944503887366565e-1),
+        complex(7.9086773765174999586e-1, -6.1083648503451047346e-1),
+        complex(-8.3952166609459818026e-1, -5.4201675245915140163e-1),
+        complex(-1.449167316951564541e-1, -9.6722688858306139717e-1),
+        complex(-5.8599007086226885787e-33, 1.3073206518305004471e-31),
+        complex(-1.7056534430710329033e-62, -1.5321538428117249409e-63),
+    ),
+    # (1 - 1e-7) times the real-axis edge x = -2.78529356340528, where R(x) = 1
+    complex(-2.7852932848759258): (
+        complex(9.9999958006606672924e-1, 0.0),
+        complex(9.9999706046617033675e-1, 0.0),
+        complex(9.9995842739604178939e-1, 0.0),
+        complex(9.9995800747956626572e-1, 0.0),
+        complex(9.9868856686399162532e-1, 0.0),
+        complex(1.5005473950304297544e-2, 0.0),
+        complex(2.2516424847326086024e-4, 0.0),
+    ),
+}
+
+
+def test_rk4_powers_match_high_precision():
+    # The bound, derived before the comparison was run. fl(R(z)) =
+    # R(z)(1 + rho) with |rho| <= 8 eps kappa, where kappa = sum_j |z|^j/j!
+    # / |R(z)| is the conditioning of the five-term sum (a few roundings per
+    # term); log then adds eps |log R| per component, the product k * log R
+    # eps |k log R|, and exp a few eps. Each error in the exponent is
+    # multiplied by k, so
+    #     |exp(k log fl R) - R^k| / |R^k| <= 8 eps (k (kappa + |log R|) + 1).
+    # Counts below 100 are covered too: there numpy's complex power
+    # multiplied, so their last bits may differ from what it gave.
+    eps = float(np.finfo(float).eps)
+    counts = np.array(RK4_POWER_COUNTS, dtype=float)
+    for z, refs in FROZEN_RK4_POWERS.items():
+        got = _rk4_powers(np.array([[z]]), counts,
+                          np.zeros(len(counts), dtype=int))[:, 0]
+        r = abs(z)
+        factor = 1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+        kappa = sum(r ** j / math.factorial(j) for j in range(5)) / abs(factor)
+        log_r = abs(np.log(factor))
+        for k, value, want in zip(RK4_POWER_COUNTS, got, refs):
+            bound = 8.0 * eps * (k * (kappa + log_r) + 1.0)
+            assert abs(value - want) <= bound * abs(want), (z, k)
+
+
 def test_integrator_matches_dense_superoperator_expm():
     # shares nothing with decompose: the (N+1)^2-dim Lindblad superoperator is
     # assembled column by column from dense_lindblad and exponentiated by
@@ -231,17 +337,21 @@ def test_single_mode_decay_closed_form():
 
 
 def test_integrator_matches_factorized_oracle():
-    cfg = ArrayConfig(6, switching_frequencies(1.0, 1, 3, 6), 0.0013)
-    h = build_hamiltonian(cfg)
-    spec = decompose(h)
-    psi0 = single_photon_state(6, 1)
-    rho0 = DensityMatrix.from_state(psi0)
-    gamma, t_end = 0.02, 50.0
-    run = integrate_master(rho0, h, gamma, t_end, 1e-3)
-    assert len(run.states) == 16
-    oracle = lossy_pure_state_oracle(psi0, spec, gamma, t_end)
-    assert np.max(np.abs(run.final.matrix - oracle)) <= 1e-8
-    assert run.converged and run.step_defect <= 1e-8
+    cases = [
+        ((1, 3), single_photon_state(6, 1), 0.02, 50.0),
+        # the benchmark's long runs: 1e7 steps, vacuum row included
+        ((1, 4), qubit_state(6, 1, 0.6, 0.8j), 0.1 * 0.0013, 1e4),
+    ]
+    for pair, psi0, gamma, t_end in cases:
+        cfg = ArrayConfig(6, switching_frequencies(1.0, *pair, 6), 0.0013)
+        h = build_hamiltonian(cfg)
+        spec = decompose(h)
+        rho0 = DensityMatrix.from_state(psi0)
+        run = integrate_master(rho0, h, gamma, t_end, 1e-3)
+        assert len(run.states) == 16
+        oracle = lossy_pure_state_oracle(psi0, spec, gamma, t_end)
+        assert np.max(np.abs(run.final.matrix - oracle)) <= 1e-8
+        assert run.converged and run.step_defect <= 1e-8
 
 
 def test_integrator_matches_unitary_flow_without_loss():
@@ -311,6 +421,14 @@ def test_integrator_flags_too_coarse_steps():
     t_first = 2083 * (1e5 / 33334)
     with pytest.raises(NumericalInvariantError, match=f"at t = {t_first:.6g} "):
         integrate_master(rho0, h, 0.1, 1e5, 3.0)
+    # 5e18 steps: the dt/2 rerun's 1e19 steps do not fit an int64, and the
+    # lossless coherences grow by R(dt*mu)'s rounding raised to 5e18; a
+    # numerical refusal, with no overflow warning on the way (the mark above
+    # would hide one)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalInvariantError, match="negative population"):
+            integrate_master(rho0, h, 0.0, 5e9, 1e-9)
 
 
 def test_integrator_names_the_earliest_failing_checkpoint():

@@ -299,6 +299,12 @@ def test_plan_from_dict_rejects_corruption(plan_24):
         ("n_sites", 6.7, "n_sites"),
         ("source", 1.5, "integer"),
         ("source", True, "integer"),
+        ("coupling_scale", True, "coupling_scale"),
+        ("doublet_purity", True, "doublet_purity"),
+        ("lambda_plus", repr(plan_24.lambda_plus), "lambda_plus"),
+        ("coupling_scale", math.inf, "coupling_scale"),
+        ("predicted_peak", "nan", "predicted_peak"),
+        ("frequencies", ["1.0"] + list(plan_24.frequencies[1:]), "frequencies"),
     ]
     for key, value, named in corruptions:
         data = plan_24.to_dict()
