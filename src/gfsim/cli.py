@@ -1,14 +1,17 @@
 """Command-line front end: binds configs to experiments, emits figure-ready
 tables (CSV or JSON) with a full provenance header.
 
-Commands: spectrum, resonant-walk, plan, transfer, qubit, dissipation.
-Each output embeds a one-line JSON metadata comment carrying the resolved
-config, seed, tool version and every assumed parameter, so any file can be
-regenerated from its own header. Outputs contain no timestamps: rerunning
-with the same flags and seed is bit-identical. Files are written atomically
-(temp file in the target directory, then rename) and get the mode the umask
-gives a new file. The parser is built once per process, so repeated
-in-process main() calls pay for argparse only once.
+Commands: spectrum, resonant-walk, plan, transfer, qubit, dissipation. One
+table, _COMMANDS, gives each its handler, help and flags. Presets give their
+sweep grids as the text of a flag (--times or --grid), so a preset's grid
+passes the same checks as a user's. Each output embeds a one-line JSON
+metadata comment carrying the resolved config, seed, tool version and every
+assumed parameter, so any file can be regenerated from its own header.
+Outputs contain no timestamps: rerunning with the same flags and seed is
+bit-identical. Files are written atomically (temp file in the target
+directory, then rename) and get the mode the umask gives a new file. The
+parser is built once per process, so repeated in-process main() calls pay
+for argparse only once.
 
 Exit codes: 0 success, 2 config error, 3 physics-regime refusal (doublet
 unresolved, closed form inapplicable), 4 numerical-invariant violation.
@@ -23,7 +26,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,28 +59,16 @@ _FLAGS = {
                                        "the four reference states"}),
 }
 
-_COMMANDS = {
-    "spectrum": ("frequency profile and eigenvalues of the array", ()),
-    "resonant-walk": ("single-photon spreading on a resonant array vs the closed form",
-                      ("grid", "times")),
-    "plan": ("design a transfer plan for a site pair", ("source", "target")),
-    "transfer": ("transfer probability curve (planned or direct sweep)",
-                 ("source", "target", "eta", "grid", "times")),
-    "qubit": ("qubit transfer fidelity curve with the closed-form comparison",
-              ("source", "target", "eta", "grid", "times", "alpha", "beta")),
-    "dissipation": ("averaged transfer fidelity vs gamma/J under uniform loss",
-                    ("source", "target", "seed", "samples", "grid", "states")),
-}
-
 # Presets pin every assumed-but-unstated parameter in one auditable place.
-# Frequencies are in units of the first cavity's resonance; time grids are
-# in omega_1*t; dissipation grids are log-spaced gamma/J.
+# Frequencies are in units of the first cavity's resonance; a grid is the
+# text its flag takes: "times" as --times (omega_1*t), "grid" as --grid
+# (dissipation: log-spaced gamma/J).
 _PRESETS = {
     "fig1": {
         "command": "resonant-walk",
         "config": {"n_sites": 10, "frequencies": {"preset": "resonant", "C": 1.0},
                    "J": 0.05},
-        "times": [0.0, 30.0, 40.0, 84.0],
+        "times": "0,30,40,84",
     },
     "fig2": {
         "command": "spectrum",
@@ -110,7 +101,7 @@ _PRESETS = {
         "config": {"n_sites": 6, "frequencies": {"preset": "resonant", "C": 1.0},
                    "J": 0.0013},
         "pairs": [(1, 3), (2, 5)],
-        "log_grid": (1e-3, 1.0, 25),
+        "grid": "1e-3:1:25",
         "samples": 200,
     },
 }
@@ -122,12 +113,11 @@ _DEFAULT_SWEEP_POINTS = 2001
 class ResolvedExperiment:
     """Everything a command handler needs after flag/preset/config merging."""
 
-    command: str
     config: ArrayConfig
-    freq_mode: str           # "resonant" | "switching" | "explicit"
+    base: float              # omega_1, checked > 0
+    planned: bool            # the config names a switching profile
     pair: tuple | None       # (m, n) if known from preset/config/flags
     preset: dict
-    preset_name: str | None
     args: argparse.Namespace
 
 
@@ -259,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gfsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (description, flags) in _COMMANDS.items():
+    for name, (_, description, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=description, allow_abbrev=False)
         cmd.add_argument("--config", help="path to a JSON array config")
         cmd.add_argument("--preset", choices=sorted(_PRESETS),
@@ -282,24 +272,12 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
 
 
-def _freq_provenance(raw_config: dict):
-    freq = raw_config.get("frequencies")
-    if isinstance(freq, dict):
-        mode = freq.get("preset")
-        if mode == "switching":
-            return "switching", (freq.get("m"), freq.get("n"))
-        return str(mode), None
-    return "explicit", None
-
-
 def resolve_experiment(args: argparse.Namespace) -> ResolvedExperiment:
     preset = {}
-    preset_name = None
     if args.preset and args.config:
         raise ConfigError("--preset and --config are mutually exclusive")
     if args.preset:
         preset = _PRESETS[args.preset]
-        preset_name = args.preset
         # plan is a sub-step of the other experiments, so it may borrow
         # any preset; the rest must use their own
         if preset["command"] != args.command and args.command != "plan":
@@ -319,7 +297,9 @@ def resolve_experiment(args: argparse.Namespace) -> ResolvedExperiment:
             f"the first cavity frequency omega_1 must be > 0, got {base!r}: "
             "time columns are omega_1 * t"
         )
-    freq_mode, pair = _freq_provenance(raw)
+    freq = raw["frequencies"]
+    planned = isinstance(freq, dict) and freq["preset"] == "switching"
+    pair = (freq["m"], freq["n"]) if planned else None
 
     # subcommands without -m/-n take the pair from the config alone
     source, target = getattr(args, "source", None), getattr(args, "target", None)
@@ -327,18 +307,17 @@ def resolve_experiment(args: argparse.Namespace) -> ResolvedExperiment:
         if source is None or target is None:
             raise ConfigError("-m/--source and -n/--target must be given together")
         flag_pair = (source, target)
-        if pair is not None and tuple(pair) != flag_pair:
+        if pair is not None and pair != flag_pair:
             raise ConfigError(
-                f"site pair {flag_pair} conflicts with the config profile pair {tuple(pair)}"
+                f"site pair {flag_pair} conflicts with the config profile pair {pair}"
             )
         pair = flag_pair
-    return ResolvedExperiment(args.command, config, freq_mode, pair,
-                              preset, preset_name, args)
+    return ResolvedExperiment(config, base, planned, pair, preset, args)
 
 
 def _base_metadata(exp: ResolvedExperiment) -> dict:
     meta = {
-        "command": exp.command,
+        "command": exp.args.command,
         "version": __version__,
         "config": config_to_dict(exp.config),
         "assumptions": [
@@ -346,28 +325,36 @@ def _base_metadata(exp: ResolvedExperiment) -> dict:
             "time columns are omega_1 * t",
         ],
     }
-    if exp.preset_name:
-        meta["preset"] = exp.preset_name
-    base = float(exp.config.frequencies[0])
-    if base == 1.0:
+    if exp.args.preset:
+        meta["preset"] = exp.args.preset
+    if exp.base == 1.0:
         meta["assumptions"].append("base frequency C = omega_1 = 1.0")
     return meta
 
 
-def _time_grid(exp: ResolvedExperiment, default=None) -> np.ndarray:
-    """Sweep times in omega_1*t units from --grid/--times, else `default`."""
-    if exp.args.grid and exp.args.times:
+def _grid(exp: ResolvedExperiment, default=None, log=False) -> np.ndarray:
+    """The sweep grid: --times, else --grid, else the preset's grid, else
+    `default` (--grid text, an array, or None when a grid is required).
+    Times are omega_1*t >= 0; with `log`, the grid is log-spaced gamma/J > 0."""
+    times, grid = getattr(exp.args, "times", None), exp.args.grid
+    if times and grid:
         raise ConfigError("--grid and --times are mutually exclusive")
-    if exp.args.times:
-        return np.asarray(_parse_times(exp.args.times), dtype=float)
-    if exp.args.grid:
-        start, end, count = _parse_grid(exp.args.grid)
+    if not (times or grid):
+        times, grid = exp.preset.get("times"), exp.preset.get("grid", default)
+    if times:
+        return np.asarray(_parse_times(times), dtype=float)
+    if grid is None:
+        raise ConfigError("a time grid is required: pass --grid start:end:n or --times")
+    if not isinstance(grid, str):
+        return grid
+    start, end, count = _parse_grid(grid)
+    if not log:
         if start < 0:
             raise ConfigError("time grid must start at >= 0")
         return np.linspace(start, end, count)
-    if default is not None:
-        return np.asarray(default, dtype=float)
-    raise ConfigError("a time grid is required: pass --grid start:end:n or --times")
+    if start <= 0:
+        raise ConfigError("dissipation --grid is log-spaced gamma/J: start must be > 0")
+    return np.logspace(math.log10(start), math.log10(end), count)
 
 
 def _require_pair(exp: ResolvedExperiment) -> tuple[int, int]:
@@ -395,6 +382,16 @@ def _capture_plan(template: ArrayConfig, m: int, n: int, meta: dict):
     return plan
 
 
+def _planned_sweep(exp: ResolvedExperiment, meta: dict):
+    """The plan for the checked pair and its sweep (the flags' or preset's
+    grid, else 2001 points over [0, 2t*]), both recorded in meta."""
+    plan = _capture_plan(exp.config, *exp.pair, meta)
+    t_star = plan.transfer_time * exp.base
+    meta["plan"] = plan.to_dict()
+    meta["transfer_time_omega1_t"] = t_star
+    return plan, _grid(exp, np.linspace(0.0, 2.0 * t_star, _DEFAULT_SWEEP_POINTS))
+
+
 def cmd_spectrum(exp: ResolvedExperiment) -> int:
     spec = decompose(build_hamiltonian(exp.config))
     freqs = exp.config.frequencies
@@ -410,15 +407,14 @@ def cmd_spectrum(exp: ResolvedExperiment) -> int:
 
 
 def cmd_resonant_walk(exp: ResolvedExperiment) -> int:
-    cfg = exp.config
-    base = float(cfg.frequencies[0])
+    cfg, base = exp.config, exp.base
     detuning = float(np.max(np.abs(cfg.frequencies - base)))
     if detuning > 1e-12 * max(abs(base), 1.0):
         raise ClosedFormInapplicableError(
             "resonant-walk requires equal frequencies on every site "
             f"(max detuning {detuning:.3e}); the closed form does not apply"
         )
-    times = _time_grid(exp, default=exp.preset.get("times"))
+    times = _grid(exp)
     n = cfg.n_sites
     t = times / base
     spec = decompose(build_hamiltonian(cfg))
@@ -460,25 +456,18 @@ def cmd_plan(exp: ResolvedExperiment) -> int:
 
 
 def cmd_transfer(exp: ResolvedExperiment) -> int:
-    cfg = exp.config
-    base = float(cfg.frequencies[0])
+    cfg, base = exp.config, exp.base
     m, n = _require_pair(exp)
     meta = _base_metadata(exp)
-    if exp.freq_mode == "switching":
-        plan = _capture_plan(cfg, m, n, meta)
-        t_star_wt = plan.transfer_time * base
-        times_wt = _time_grid(exp, default=np.linspace(0.0, 2.0 * t_star_wt,
-                                                       _DEFAULT_SWEEP_POINTS))
+    if exp.planned:
+        plan, times_wt = _planned_sweep(exp, meta)
         run_cfg = plan_config(plan, exp.args.eta)
-        meta["plan"] = plan.to_dict()
-        meta["transfer_time_omega1_t"] = t_star_wt
     else:
         # no degeneracy engineering: plain probability sweep, grid required
         plan = None
-        times_wt = _time_grid(exp)
+        times_wt = _grid(exp)
         eta = exp.args.eta if exp.args.eta is not None else cfg.coupling_phase
-        run_cfg = ArrayConfig(cfg.n_sites, cfg.frequencies, cfg.coupling_scale,
-                              coupling_phase=eta)
+        run_cfg = replace(cfg, coupling_phase=eta)
     spec = decompose(build_hamiltonian(run_cfg))
     probs = transfer_probability(m, n, spec, times_wt / base)
     peak_idx = int(np.argmax(probs))
@@ -500,9 +489,7 @@ def cmd_transfer(exp: ResolvedExperiment) -> int:
 
 
 def cmd_qubit(exp: ResolvedExperiment) -> int:
-    cfg = exp.config
-    base = float(cfg.frequencies[0])
-    m, n = _require_pair(exp)
+    _require_pair(exp)
     alpha_text = exp.args.alpha if exp.args.alpha is not None else exp.preset.get("alpha")
     beta_text = exp.args.beta if exp.args.beta is not None else exp.preset.get("beta")
     if alpha_text is None or beta_text is None:
@@ -511,26 +498,21 @@ def cmd_qubit(exp: ResolvedExperiment) -> int:
     beta = _parse_complex(str(beta_text), "--beta")
 
     meta = _base_metadata(exp)
-    plan = _capture_plan(cfg, m, n, meta)
-    t_star_wt = plan.transfer_time * base
-    times_wt = _time_grid(exp, default=np.linspace(0.0, 2.0 * t_star_wt,
-                                                   _DEFAULT_SWEEP_POINTS))
+    plan, times_wt = _planned_sweep(exp, meta)
     eta = exp.args.eta
     # one call, so one decomposition: t* rides along as the last time point
     numeric, closed = qubit_fidelity_curve(
-        plan, alpha, beta, np.append(times_wt / base, plan.transfer_time), eta=eta)
+        plan, alpha, beta, np.append(times_wt / exp.base, plan.transfer_time), eta=eta)
     at_star, at_star_closed = numeric[-1], closed[-1]
     numeric, closed = numeric[:-1], closed[:-1]
 
     meta.update({
-        "plan": plan.to_dict(),
         "alpha": [alpha.real, alpha.imag],
         "beta": [beta.real, beta.imag],
         "eta_used": plan_config(plan, eta).coupling_phase,
         "peak_fidelity": float(np.max(numeric)),
         "fidelity_at_transfer_time": float(at_star),
         "closed_form_fidelity_at_transfer_time": float(at_star_closed),
-        "transfer_time_omega1_t": float(t_star_wt),
         "max_closed_form_deviation": float(np.max(np.abs(numeric - closed))),
     })
     write_table(exp.args.out, exp.args.format, meta, {
@@ -547,14 +529,7 @@ def cmd_dissipation(exp: ResolvedExperiment) -> int:
     else:
         raise ConfigError("dissipation needs a site pair (-m/-n) or a preset with pairs")
 
-    if exp.args.grid:
-        start, end, count = _parse_grid(exp.args.grid)
-        if start <= 0:
-            raise ConfigError("dissipation --grid is log-spaced gamma/J: start must be > 0")
-        grid = np.logspace(math.log10(start), math.log10(end), count)
-    else:
-        lo, hi, count = exp.preset.get("log_grid", (1e-3, 1.0, 25))
-        grid = np.logspace(math.log10(lo), math.log10(hi), count)
+    grid = _grid(exp, "1e-3:1:25", log=True)
 
     if exp.args.states == "fixed4":
         for flag in ("seed", "samples"):
@@ -601,13 +576,19 @@ def cmd_dissipation(exp: ResolvedExperiment) -> int:
     return 0
 
 
-_HANDLERS = {
-    "spectrum": cmd_spectrum,
-    "resonant-walk": cmd_resonant_walk,
-    "plan": cmd_plan,
-    "transfer": cmd_transfer,
-    "qubit": cmd_qubit,
-    "dissipation": cmd_dissipation,
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "frequency profile and eigenvalues of the array", ()),
+    "resonant-walk": (cmd_resonant_walk,
+                      "single-photon spreading on a resonant array vs the closed form",
+                      ("grid", "times")),
+    "plan": (cmd_plan, "design a transfer plan for a site pair", ("source", "target")),
+    "transfer": (cmd_transfer, "transfer probability curve (planned or direct sweep)",
+                 ("source", "target", "eta", "grid", "times")),
+    "qubit": (cmd_qubit, "qubit transfer fidelity curve with the closed-form comparison",
+              ("source", "target", "eta", "grid", "times", "alpha", "beta")),
+    "dissipation": (cmd_dissipation,
+                    "averaged transfer fidelity vs gamma/J under uniform loss",
+                    ("source", "target", "seed", "samples", "grid", "states")),
 }
 
 
@@ -619,7 +600,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         exp = resolve_experiment(args)
-        return _HANDLERS[exp.command](exp)
+        return _COMMANDS[args.command][0](exp)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -59,6 +59,16 @@ def _is_real(value) -> bool:
             and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
 
 
+def _is_real_vector(values) -> bool:
+    """True for an int or float ndarray, on its dtype alone (shape and
+    finiteness are the caller's to check), or for a list or tuple of _is_real
+    numbers: a bool, string, nested or ragged element fails here before
+    numpy can cast it or raise."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf"
+    return isinstance(values, (list, tuple)) and all(map(_is_real, values))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
@@ -87,6 +97,9 @@ class ArrayConfig:
             raise ConfigError(f"n_sites must be >= 2 (chain degenerates), got {n}")
         object.__setattr__(self, "n_sites", int(n))
 
+        if not _is_real_vector(self.frequencies):
+            raise ConfigError(
+                f"frequencies must be a list or array of numbers, got {self.frequencies!r}")
         freqs = np.asarray(self.frequencies, dtype=float)
         if freqs.ndim != 1 or freqs.shape[0] != self.n_sites:
             raise ConfigError(
@@ -97,12 +110,19 @@ class ArrayConfig:
             raise ConfigError("frequencies must all be finite")
         object.__setattr__(self, "frequencies", _readonly(freqs))
 
+        if not _is_real(self.coupling_scale):
+            raise ConfigError(
+                f"coupling_scale must be a finite number, got {self.coupling_scale!r}")
         scale = float(self.coupling_scale)
-        if not math.isfinite(scale) or scale <= 0.0:
+        if scale <= 0.0:
             raise ConfigError(f"coupling_scale must be > 0, got {scale!r}")
         object.__setattr__(self, "coupling_scale", scale)
 
-        object.__setattr__(self, "coupling_phase", wrap_phase(self.coupling_phase))
+        phase = self.coupling_phase
+        # a non-finite float is a number; wrap_phase refuses it as not finite
+        if not _is_real(phase) and not isinstance(phase, float):
+            raise ConfigError(f"coupling_phase must be a number, got {phase!r}")
+        object.__setattr__(self, "coupling_phase", wrap_phase(phase))
 
 
 @dataclass(frozen=True, eq=False)

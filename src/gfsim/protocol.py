@@ -42,7 +42,7 @@ import numpy as np
 
 from .dynamics import decompose, transfer_amplitude
 from .errors import ConfigError, DoubletNotResolvedError
-from .model import (ArrayConfig, _is_integer, _is_real, build_couplings,
+from .model import (ArrayConfig, _is_integer, _is_real, _is_real_vector, build_couplings,
                     build_hamiltonian, switching_frequencies, wrap_phase)
 
 __all__ = [
@@ -107,10 +107,10 @@ class TransferPlan:
     predicted_peak: float
 
     def __post_init__(self) -> None:
-        if (np.ndim(self.frequencies) != 1 or len(self.frequencies) < 2
-                or not all(map(_is_real, self.frequencies))):
+        freqs = np.array(self.frequencies if _is_real_vector(self.frequencies) else [],
+                         dtype=float)
+        if freqs.ndim != 1 or len(freqs) < 2 or not np.isfinite(freqs).all():
             raise ConfigError("plan frequencies must be a vector of >= 2 finite numbers")
-        freqs = np.array(self.frequencies, dtype=float)
         freqs.setflags(write=False)
         stored = vars(self)  # frozen: assign through the instance dict
         stored["frequencies"] = freqs

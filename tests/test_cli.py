@@ -265,6 +265,30 @@ def test_dissipation_outputs_one_file_per_pair(tmp_path):
         assert rows[0][1] > rows[-1][1]
 
 
+def test_flag_grids_replace_the_preset_grid(tmp_path):
+    for flags, rows in ((["--grid", "0:84:5"], 5), (["--times", "1,2"], 2)):
+        out = tmp_path / f"walk{rows}.csv"
+        assert run_cli(["resonant-walk", "--preset", "fig1", *flags,
+                        "--out", str(out)]) == 0
+        assert len(read_csv_output(out)[2]) == rows
+
+
+def test_default_loss_grid_is_the_fig5_grid(tmp_path):
+    # a config run without --grid gets the same 25 gamma/J cells, bit for bit
+    cfg = tmp_path / "res6.json"
+    cfg.write_text(json.dumps({"n_sites": 6,
+                               "frequencies": {"preset": "resonant", "C": 1.0},
+                               "J": 0.0013}))
+    pair = ["-m", "1", "-n", "3", "--seed", "3"]
+    cells = []
+    for source in (["--config", str(cfg)], ["--preset", "fig5"]):
+        out = tmp_path / f"loss{len(cells)}.csv"
+        assert run_cli(["dissipation", *source, *pair, "--out", str(out)]) == 0
+        cells.append([line.split(",")[0] for line in out.read_text().splitlines()[2:]])
+    assert len(cells[0]) == 25
+    assert cells[0] == cells[1]
+
+
 def test_dissipation_fixed_states(tmp_path):
     out = tmp_path / "fixed.csv"
     code = run_cli(["dissipation", "--preset", "fig5", "-m", "1", "-n", "3",
@@ -301,6 +325,20 @@ def test_exit_codes(tmp_path, capsys):
                     "--states", "fixed4", "--samples", "1000"]) == 2
     assert run_cli(["dissipation", "--preset", "fig5", "--seed", "1",
                     "--states", "fixed4"]) == 2
+    # grid refusals, one reader for every sweep; argparse takes "-1:5:3"
+    # after a space for a flag, so the negative start is given with "="
+    for argv, message in (
+            (["resonant-walk", "--preset", "fig1", "--grid", "0:5:3", "--times", "1"],
+             "mutually exclusive"),
+            (["qubit", "--preset", "fig4", "--grid", "0:5:3", "--times", "1"],
+             "mutually exclusive"),
+            (["resonant-walk", "--preset", "fig1", "--grid", "-1:5:3"], "expected one"),
+            (["resonant-walk", "--preset", "fig1", "--grid=-1:5:3"], "start at >= 0"),
+            (["resonant-walk", "--preset", "fig1", "--grid", "0:1:1"], "at least 2 points"),
+            (["dissipation", "--preset", "fig5", "--seed", "1", "--grid", "0:1:3"],
+             "start must be > 0")):
+        assert run_cli(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
     # abbreviated flags are refused, not expanded
     assert run_cli(["qubit", "--pre", "fig4", "--al", "0.6", "--be", "0.8",
                     "--ti", "1"]) == 2

@@ -55,6 +55,16 @@ def test_array_config_validation():
         ArrayConfig(4, np.array([1.0, 2.0, np.nan, 4.0]), 0.1)
     with pytest.raises(ConfigError):
         ArrayConfig(4, np.ones(4), 0.0)                    # J must be > 0
+    # values config_from_dict and TransferPlan refuse, and a ragged vector
+    # (numpy's own ValueError before): every one is a ConfigError naming its field
+    for kwargs, named in ((dict(frequencies=[[1.0, 2.0], 1.0]), "frequencies"),
+                          (dict(frequencies=["1.0", "2"]), "frequencies"),
+                          (dict(frequencies=[True, 2.0]), "frequencies"),
+                          (dict(coupling_scale=True), "coupling_scale"),
+                          (dict(coupling_phase="0.1"), "coupling_phase")):
+        args = dict(n_sites=2, frequencies=np.ones(2), coupling_scale=0.1) | kwargs
+        with pytest.raises(ConfigError, match=named):
+            ArrayConfig(**args)
 
 
 def test_array_config_is_frozen_and_read_only():

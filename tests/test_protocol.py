@@ -305,6 +305,7 @@ def test_plan_from_dict_rejects_corruption(plan_24):
         ("coupling_scale", math.inf, "coupling_scale"),
         ("predicted_peak", "nan", "predicted_peak"),
         ("frequencies", ["1.0"] + list(plan_24.frequencies[1:]), "frequencies"),
+        ("frequencies", [[1.0, 2.0], 1.0, 1.0, 1.0, 1.0, 1.0], "frequencies"),
     ]
     for key, value, named in corruptions:
         data = plan_24.to_dict()

@@ -1,10 +1,11 @@
 """The README's code must run against the current public API."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
-from gfsim.cli import main
+from gfsim.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,3 +60,25 @@ def test_cli_examples_run(tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(workdir)
         assert main(argv) == 0, (line, capsys.readouterr().err)
         assert {p.name for p in workdir.iterdir()} == files, line
+
+
+# flags every subcommand takes, listed in the README's usage line instead
+_COMMON_FLAGS = {"--config", "--preset", "--out", "--format", "-h"}
+
+
+def test_command_flag_table_matches_parser():
+    # each row of the "| command | command flags |" table names, by its
+    # first option string, exactly the flags the parser registers
+    table = re.search(r"\| command +\| command flags \|\n\|[-|]+\|\n((?:\|.*\n)+)",
+                      README.read_text())
+    assert table, "README has no command-flag table"
+    documented = {}
+    for row in table.group(1).splitlines():
+        command, flags = row.strip("|").split("|", 1)
+        documented[command.strip().strip("`")] = set(re.findall(r"`(-[^`\s]+)", flags))
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    registered = {name: {a.option_strings[0] for a in cmd._actions if a.option_strings}
+                  - _COMMON_FLAGS
+                  for name, cmd in subcommands.choices.items()}
+    assert documented == registered
