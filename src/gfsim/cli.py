@@ -337,11 +337,11 @@ def _grid(exp: ResolvedExperiment, default=None, log=False) -> np.ndarray:
     `default` (--grid text, an array, or None when a grid is required).
     Times are omega_1*t >= 0; with `log`, the grid is log-spaced gamma/J > 0."""
     times, grid = getattr(exp.args, "times", None), exp.args.grid
-    if times and grid:
+    if times is not None and grid is not None:
         raise ConfigError("--grid and --times are mutually exclusive")
-    if not (times or grid):
+    if times is None and grid is None:
         times, grid = exp.preset.get("times"), exp.preset.get("grid", default)
-    if times:
+    if times is not None:
         return np.asarray(_parse_times(times), dtype=float)
     if grid is None:
         raise ConfigError("a time grid is required: pass --grid start:end:n or --times")

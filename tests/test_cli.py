@@ -326,8 +326,16 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(["dissipation", "--preset", "fig5", "--seed", "1",
                     "--states", "fixed4"]) == 2
     # grid refusals, one reader for every sweep; argparse takes "-1:5:3"
-    # after a space for a flag, so the negative start is given with "="
+    # after a space for a flag, so the negative start is given with "=";
+    # an empty flag is given, not absent: it used to fall back to the
+    # preset's times or the default sweep and exit 0
+    switching = tmp_path / "switching.json"
+    switching.write_text(json.dumps({
+        "n_sites": 6, "frequencies": {"preset": "switching", "m": 2, "n": 4},
+        "J": 0.0013}))
     for argv, message in (
+            (["resonant-walk", "--preset", "fig1", "--times", ""], "--times is empty"),
+            (["transfer", "--config", str(switching), "--grid", ""], "start:end:n"),
             (["resonant-walk", "--preset", "fig1", "--grid", "0:5:3", "--times", "1"],
              "mutually exclusive"),
             (["qubit", "--preset", "fig4", "--grid", "0:5:3", "--times", "1"],

@@ -13,6 +13,8 @@ from gfsim.model import ArrayConfig, build_hamiltonian, config_from_dict, \
     switching_frequencies
 from gfsim.dynamics import (
     ExcitationState,
+    _block_size,
+    _mode_sum,
     decompose,
     evolve,
     qubit_state,
@@ -282,7 +284,8 @@ def test_multi_target_equals_single_target_calls_bitwise():
         spec = decompose(build_hamiltonian(random_config(rng, n)))
         initial = int(rng.integers(1, n + 1))
         targets = [*range(1, n + 1), n, 1]        # repeats are allowed
-        for t in (rng.uniform(0.0, 1e4, 2001), rng.uniform(-50.0, 50.0, (3, 7)), 4.2):
+        for t in (rng.uniform(0.0, 1e4, 2001), np.linspace(0.0, 1e6, 2001),
+                  rng.uniform(-50.0, 50.0, (3, 7)), 4.2):
             multi = transfer_amplitude(initial, targets, spec, t)
             assert multi.shape == np.shape(t) + (len(targets),)
             for col, target in enumerate(targets):
@@ -290,6 +293,70 @@ def test_multi_target_equals_single_target_calls_bitwise():
                 assert multi[..., col].tobytes() == single.tobytes(), (n, target)
     probs = transfer_probability(1, np.array([1, 2]), spec, [0.5, 1.5])
     assert probs.shape == (2, 2)
+
+
+def _fig3b_spectrum():
+    return decompose(build_hamiltonian(
+        ArrayConfig(6, switching_frequencies(1.0, 2, 4, 6), 0.0013)))
+
+
+@pytest.mark.parametrize("t_max", [1e2, 1e4, 1e6, 1e8])
+def test_block_route_matches_high_precision(t_max):
+    # Uniform grids take the blocked angle addition e^{-i lambda t[aB]}
+    # e^{-i lambda (t[b] - t[0])}. Error per phase, in eps |lambda| max|t|:
+    # 4 from the split test, 1/2 from its own sum's rounding, 1/2 and 1 from
+    # rounding lambda t[aB] and lambda (t[b] - t[0]) (|t[b] - t[0]| <=
+    # 2 max|t|): 6 in all; two exps and a complex product add ~6 eps. An
+    # amplitude adds the weights' product (2 eps) and N - 1 = 5 additions
+    # against sum |w_k| <= 1: 6 eps (1 + |lambda| max|t|) + 7 eps, under
+    # c = 16. The reference is 50-digit mpmath at the float times,
+    # eigenvalues and eigenvectors, so only the kernel is measured.
+    mpmath = pytest.importorskip("mpmath")
+    spec = _fig3b_spectrum()
+    lam, vec = spec.eigenvalues, spec.eigenvectors
+    m, n = 2, 4
+    c = 16.0
+    with mpmath.workdps(50):
+        lam_mp = [mpmath.mpf(x) for x in lam]
+        w_mp = [mpmath.mpc(vec[n - 1, k]) * mpmath.conj(mpmath.mpc(vec[m - 1, k]))
+                for k in range(lam.size)]
+        for size in (17, 401, 2001):
+            t = np.linspace(0.0, t_max, size)
+            assert _block_size(t) > 1, size
+            bound = c * np.finfo(float).eps * (1.0 + np.max(np.abs(lam)) * t_max)
+            phases = _mode_sum(np.eye(lam.size), np.ones(lam.size), lam, t)
+            amps = transfer_amplitude(m, n, spec, t)
+            # every time of the short grids; every 7th of 2001 (7 is prime to
+            # B = 45, so each offset b inside a block is visited)
+            for j in range(0, size, 1 if size < 1000 else 7):
+                exact = [mpmath.expj(-x * mpmath.mpf(t[j])) for x in lam_mp]
+                ref_phase = np.array([complex(z) for z in exact])
+                assert np.max(np.abs(phases[j] - ref_phase)) <= bound, (size, j)
+                ref_amp = complex(mpmath.fsum(w * z for w, z in zip(w_mp, exact)))
+                assert abs(amps[j] - ref_amp) <= bound, (size, j)
+
+
+def test_direct_route_is_bitwise_the_plain_formula():
+    # non-uniform, short, scalar and shaped non-uniform times take the direct
+    # exp(t (x) -i lambda) with the same einsum, byte for byte
+    spec = _fig3b_spectrum()
+    lam, vec = spec.eigenvalues, spec.eigenvectors
+    rng = np.random.default_rng(17)
+    weights = vec[3] * np.conj(vec[1])
+    for t in (np.sort(rng.uniform(0.0, 1e6, 401)), np.linspace(0.0, 1e6, 4), 4.2e5,
+              rng.uniform(0.0, 1e5, (3, 7)),
+              np.append(np.linspace(0.0, 1e6, 2001), 3.3e5)):
+        flat = np.ravel(t)
+        assert _block_size(flat) == 1
+        plain = np.einsum("tk,...k->t...", np.exp(np.multiply.outer(flat, -1j * lam)),
+                          weights)
+        ours = transfer_amplitude(2, 4, spec, t)
+        assert np.asarray(ours).tobytes() == plain.reshape(np.shape(t)).tobytes()
+    # the route reads the flattened times: a reshaped grid is its flat call
+    grid = np.linspace(0.0, 1e6, 21)
+    assert _block_size(grid) > 1
+    assert transfer_amplitude(2, 4, spec, grid.reshape(3, 7)).tobytes() == \
+        transfer_amplitude(2, 4, spec, grid).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
