@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ _FLAGS = {
     "source": (("-m", "--source"), {"type": int, "help": "source site (1-based)"}),
     "target": (("-n", "--target"), {"type": int, "help": "target site (1-based)"}),
     "seed": (("--seed",), {"type": int, "help": "RNG seed"}),
-    "eta": (("--eta",), {"type": float, "help": "bond phase override in radians"}),
+    "eta": (("--eta",), {"type": float, "help": "bond phase in radians (default eta*)"}),
     "samples": (("--samples",), {"type": int,
                                  "help": "random qubit states per grid point"}),
     "grid": (("--grid",), {"help": "sweep grid start:end:n (omega_1*t for time "
@@ -363,10 +363,7 @@ def _require_pair(exp: ResolvedExperiment) -> tuple[int, int]:
             "a site pair is required: use -m/--source and -n/--target "
             "(or a switching-profile config)"
         )
-    m, n = exp.pair
-    if not isinstance(m, int) or not isinstance(n, int):
-        raise ConfigError(f"site pair must be integers, got {exp.pair!r}")
-    return m, n
+    return exp.pair
 
 
 def _capture_plan(template: ArrayConfig, m: int, n: int, meta: dict):
@@ -456,25 +453,19 @@ def cmd_plan(exp: ResolvedExperiment) -> int:
 
 
 def cmd_transfer(exp: ResolvedExperiment) -> int:
-    cfg, base = exp.config, exp.base
+    base = exp.base
     m, n = _require_pair(exp)
     meta = _base_metadata(exp)
-    if exp.planned:
-        plan, times_wt = _planned_sweep(exp, meta)
-        run_cfg = plan_config(plan, exp.args.eta)
-    else:
-        # no degeneracy engineering: plain probability sweep, grid required
-        plan = None
-        times_wt = _grid(exp)
-        eta = exp.args.eta if exp.args.eta is not None else cfg.coupling_phase
-        run_cfg = replace(cfg, coupling_phase=eta)
-    spec = decompose(build_hamiltonian(run_cfg))
+    # a switching config is the plan's own profile, so the plan only gives
+    # the default grid, the metadata and the sidecar; any other config runs
+    # as given, on the grid it must be given
+    plan, times_wt = _planned_sweep(exp, meta) if exp.planned else (None, _grid(exp))
+    spec = decompose(build_hamiltonian(exp.config))
     probs = transfer_probability(m, n, spec, times_wt / base)
     peak_idx = int(np.argmax(probs))
     meta.update({
         "source": m,
         "target": n,
-        "eta_used": float(run_cfg.coupling_phase),
         "peak_probability": float(probs[peak_idx]),
         "peak_time_omega1_t": float(times_wt[peak_idx]),
     })
@@ -500,11 +491,9 @@ def cmd_qubit(exp: ResolvedExperiment) -> int:
     meta = _base_metadata(exp)
     plan, times_wt = _planned_sweep(exp, meta)
     eta = exp.args.eta
-    # one call, so one decomposition: t* rides along as the last time point
-    numeric, closed = qubit_fidelity_curve(
-        plan, alpha, beta, np.append(times_wt / exp.base, plan.transfer_time), eta=eta)
-    at_star, at_star_closed = numeric[-1], closed[-1]
-    numeric, closed = numeric[:-1], closed[:-1]
+    numeric, closed = qubit_fidelity_curve(plan, alpha, beta, times_wt / exp.base, eta=eta)
+    (at_star,), (at_star_closed,) = qubit_fidelity_curve(
+        plan, alpha, beta, plan.transfer_time, eta=eta)
 
     meta.update({
         "alpha": [alpha.real, alpha.imag],
@@ -542,8 +531,6 @@ def cmd_dissipation(exp: ResolvedExperiment) -> int:
             raise ConfigError("--seed is required for --states haar (reproducibility)")
         samples = exp.args.samples if exp.args.samples is not None \
             else exp.preset.get("samples", 200)
-        if samples < 1:
-            raise ConfigError(f"--samples must be >= 1, got {samples}")
         alpha, beta = sample_qubit_states(samples, exp.args.seed)
 
     multi = len(pairs) > 1
@@ -583,7 +570,7 @@ _COMMANDS = {
                       ("grid", "times")),
     "plan": (cmd_plan, "design a transfer plan for a site pair", ("source", "target")),
     "transfer": (cmd_transfer, "transfer probability curve (planned or direct sweep)",
-                 ("source", "target", "eta", "grid", "times")),
+                 ("source", "target", "grid", "times")),
     "qubit": (cmd_qubit, "qubit transfer fidelity curve with the closed-form comparison",
               ("source", "target", "eta", "grid", "times", "alpha", "beta")),
     "dissipation": (cmd_dissipation,

@@ -16,8 +16,8 @@ The long uniform sweeps the protocols are read from (omega_1 t* ~ 1e4-1e11)
 get their phases by blocked angle addition, about 2 sqrt(T) N complex exps
 instead of T N, when the grid itself passes a 4 eps split test; each phase
 is then within a few eps max|lambda| max|t|, the order of the direct route's
-own rounding of lambda t. Other times (lists, single times, and the qubit
-sweep, whose grid ends with t* appended) take the direct exp, bit for bit.
+own rounding of lambda t. Other times (lists, single times) take the
+direct exp, bit for bit.
 """
 
 from __future__ import annotations
@@ -170,9 +170,6 @@ def _mode_sum(rows: np.ndarray, coeffs: np.ndarray, eigenvalues: np.ndarray,
     both arguments), the order of the direct route's own rounding of
     lambda t. Any other input (non-uniform, fewer than 6 times, one time)
     has B = 1 and takes the direct exp(t (x) -i lambda), byte for byte.
-    cmd_qubit's sweep is one of them: it appends t* to its grid so that one
-    call and one decomposition serve both; a second call on the grid alone
-    would cost another decomposition for what the blocks save.
 
     The weights (a complex multiply) come before the exp, which ran 5-15x
     slower straight after a complex matmul such as decompose's. einsum, not

@@ -228,8 +228,9 @@ def switching_frequencies(base: float, m: int, n: int, n_sites: int) -> np.ndarr
 
 # JSON config schema. "frequencies" is either an explicit list or a preset
 # object {"preset": "resonant"|"switching", "C": ..., "m": ..., "n": ...};
-# C defaults to 1.0 (the reference frequency), eta defaults to 0.
-_TOP_KEYS = {"n_sites", "frequencies", "J", "eta"}
+# C defaults to 1.0 (the reference frequency). No bond phase: populations
+# are gauge-invariant, and the qubit score takes eta* from its plan.
+_TOP_KEYS = {"n_sites", "frequencies", "J"}
 _PRESET_KEYS = {"preset", "C", "m", "n"}
 
 
@@ -306,15 +307,17 @@ def config_from_dict(data: Mapping) -> ArrayConfig:
         n_sites=n_sites,
         frequencies=np.asarray(frequencies, dtype=float),
         coupling_scale=float(_require_number(data, "J")),
-        coupling_phase=float(_require_number(data, "eta", 0.0)),
     )
 
 
 def config_to_dict(config: ArrayConfig) -> dict:
-    """Resolved (explicit-frequency) schema form, for metadata emission."""
+    """Resolved (explicit-frequency) schema form, for metadata emission; a
+    nonzero coupling_phase, which the schema cannot hold, is refused."""
+    if config.coupling_phase != 0.0:
+        raise ConfigError("the config schema has no bond phase, got "
+                          f"coupling_phase = {config.coupling_phase!r}")
     return {
         "n_sites": config.n_sites,
         "frequencies": [float(w) for w in config.frequencies],
         "J": config.coupling_scale,
-        "eta": config.coupling_phase,
     }

@@ -317,6 +317,8 @@ def test_exit_codes(tmp_path, capsys):
     # a flag the subcommand does not read is refused, not ignored
     assert run_cli(["dissipation", "--preset", "fig5", "--seed", "1",
                     "--eta", "0.3"]) == 2
+    # transfer reads site populations, which the bond phase does not change
+    assert run_cli(["transfer", "--preset", "fig3b", "--eta", "0.3"]) == 2
     assert run_cli(["spectrum", "--preset", "fig2", "--seed", "9", "--samples", "3",
                     "--alpha", "2", "--times", "1"]) == 2
     assert run_cli(["resonant-walk", "--preset", "fig1", "-m", "4", "-n", "5"]) == 2
@@ -325,6 +327,15 @@ def test_exit_codes(tmp_path, capsys):
                     "--states", "fixed4", "--samples", "1000"]) == 2
     assert run_cli(["dissipation", "--preset", "fig5", "--seed", "1",
                     "--states", "fixed4"]) == 2
+    assert run_cli(["dissipation", "--preset", "fig5", "--seed", "1",
+                    "--samples", "0"]) == 2
+    assert "samples must be an integer >= 1" in capsys.readouterr().err
+    # a config has no bond phase key: it is an unknown field
+    with_eta = tmp_path / "with_eta.json"
+    with_eta.write_text(json.dumps({"n_sites": 10, "frequencies": {"preset": "resonant"},
+                                    "J": 0.05, "eta": 0.7}))
+    assert run_cli(["resonant-walk", "--config", str(with_eta), "--times", "30"]) == 2
+    assert "unknown config field 'eta'" in capsys.readouterr().err
     # grid refusals, one reader for every sweep; argparse takes "-1:5:3"
     # after a space for a flag, so the negative start is given with "=";
     # an empty flag is given, not absent: it used to fall back to the
@@ -414,13 +425,12 @@ def test_eta_override_changes_qubit_outcome(tmp_path):
 
 
 def test_eta_override_records_the_wrapped_phase(tmp_path):
-    # --eta 7 runs at wrap(7) = 7 - 2 pi on both commands, and that is what
-    # their metadata must say
-    for argv in (["transfer", "--preset", "fig3b"], ["qubit", "--preset", "fig4"]):
-        out = tmp_path / f"{argv[0]}.csv"
-        assert run_cli([*argv, "--eta", "7", "--out", str(out)]) == 0
-        meta, _, _ = read_csv_output(out)
-        assert meta["eta_used"] == wrap_phase(7.0)
+    # --eta 7 runs at wrap(7) = 7 - 2 pi, and that is what the metadata
+    # must say
+    out = tmp_path / "qubit.csv"
+    assert run_cli(["qubit", "--preset", "fig4", "--eta", "7", "--out", str(out)]) == 0
+    meta, _, _ = read_csv_output(out)
+    assert meta["eta_used"] == wrap_phase(7.0)
 
 
 def run_child(*args, env=None):

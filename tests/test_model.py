@@ -215,8 +215,9 @@ def test_switching_profile_rejections():
 
 def test_config_from_dict_explicit_and_presets():
     cfg = config_from_dict({"n_sites": 3, "frequencies": [1.0, 2.0, 3.0],
-                            "J": 0.5, "eta": 0.1})
-    assert cfg.coupling_phase == pytest.approx(0.1)
+                            "J": 0.5})
+    np.testing.assert_array_equal(cfg.frequencies, [1.0, 2.0, 3.0])
+    assert cfg.coupling_phase == 0.0
 
     res = config_from_dict({"n_sites": 4,
                             "frequencies": {"preset": "resonant", "C": 2.0},
@@ -268,14 +269,26 @@ def test_config_from_dict_rejections():
     with pytest.raises(ConfigError, match="gamma"):
         config_from_dict({"n_sites": 3, "frequencies": [1, 1, 1], "J": 0.1,
                           "gamma": 0.5})
+    # nor a bond phase: populations do not depend on it, and the qubit
+    # transfer takes eta* from its plan
+    with pytest.raises(ConfigError, match="'eta'"):
+        config_from_dict({"n_sites": 3, "frequencies": [1, 1, 1], "J": 0.1,
+                          "eta": 0.0})
 
 
 def test_config_roundtrip():
     cfg = config_from_dict({"n_sites": 6,
                             "frequencies": {"preset": "switching", "C": 1.0,
                                             "m": 2, "n": 4},
-                            "J": 0.0013, "eta": -0.4})
+                            "J": 0.0013})
     again = config_from_dict(config_to_dict(cfg))
     np.testing.assert_allclose(again.frequencies, cfg.frequencies, rtol=1e-15)
     assert again.coupling_scale == cfg.coupling_scale
     assert again.coupling_phase == cfg.coupling_phase
+
+
+def test_config_to_dict_refuses_a_phase_it_cannot_write():
+    # the schema has no bond phase, so writing one would drop it silently
+    cfg = ArrayConfig(3, np.ones(3), 0.1, coupling_phase=0.4)
+    with pytest.raises(ConfigError, match="bond phase"):
+        config_to_dict(cfg)

@@ -6,6 +6,7 @@ import shlex
 from pathlib import Path
 
 from gfsim.cli import build_parser, main
+from gfsim.model import _TOP_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -82,3 +83,14 @@ def test_command_flag_table_matches_parser():
                   - _COMMON_FLAGS
                   for name, cmd in subcommands.choices.items()}
     assert documented == registered
+
+
+def test_config_key_table_matches_schema():
+    # the "| key | value |" table lists exactly the keys config_from_dict
+    # accepts, so a schema change cannot leave the README behind
+    table = re.search(r"\| key +\| value \|\n\|[-|]+\|\n((?:\|.*\n)+)",
+                      README.read_text())
+    assert table, "README has no config-key table"
+    documented = [row.strip("|").split("|", 1)[0].strip().strip("`")
+                  for row in table.group(1).splitlines()]
+    assert sorted(documented) == sorted(_TOP_KEYS)
