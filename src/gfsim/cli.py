@@ -35,10 +35,10 @@ from .analytics import truncated_coherent_amplitudes
 from .dynamics import decompose, transfer_amplitude, transfer_probability
 from .errors import ClosedFormInapplicableError, ConfigError, \
     NumericalInvariantError, RegimeError
-from .model import ArrayConfig, build_hamiltonian, config_from_dict, config_to_dict
+from .model import ArrayConfig, build_hamiltonian, config_and_pair, config_to_dict
 from .open_system import average_transfer_fidelity, reference_qubit_states, \
     sample_qubit_states
-from .protocol import make_plan, plan_config, qubit_fidelity_curve
+from .protocol import _applied_phase, make_plan, qubit_fidelity_curve
 
 # Flags beyond --config/--preset/--out/--format; each subcommand takes only
 # the ones its handler reads, so argparse refuses the rest.
@@ -290,16 +290,14 @@ def resolve_experiment(args: argparse.Namespace) -> ResolvedExperiment:
         raw = _load_json(args.config)
     else:
         raise ConfigError("either --preset or --config is required")
-    config = config_from_dict(raw)
+    config, pair = config_and_pair(raw)
+    planned = pair is not None
     base = float(config.frequencies[0])
     if not base > 0.0:
         raise ConfigError(
             f"the first cavity frequency omega_1 must be > 0, got {base!r}: "
             "time columns are omega_1 * t"
         )
-    freq = raw["frequencies"]
-    planned = isinstance(freq, dict) and freq["preset"] == "switching"
-    pair = (freq["m"], freq["n"]) if planned else None
 
     # subcommands without -m/-n take the pair from the config alone
     source, target = getattr(args, "source", None), getattr(args, "target", None)
@@ -498,7 +496,7 @@ def cmd_qubit(exp: ResolvedExperiment) -> int:
     meta.update({
         "alpha": [alpha.real, alpha.imag],
         "beta": [beta.real, beta.imag],
-        "eta_used": plan_config(plan, eta).coupling_phase,
+        "eta_used": _applied_phase(plan, eta),
         "peak_fidelity": float(np.max(numeric)),
         "fidelity_at_transfer_time": float(at_star),
         "closed_form_fidelity_at_transfer_time": float(at_star_closed),

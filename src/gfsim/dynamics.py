@@ -1,17 +1,13 @@
 """Exact closed-system evolution in the single-excitation sector.
 
-Propagation is spectral: diagonalize the Hermitian tridiagonal site block
-once, then e^{-iHt} is exact at any t, with no error accumulation over the
-very long horizons the weak-coupling protocols need (omega*t ~ 1e5 and up).
-
-The uniform bond phase eta is handled by a gauge transform: with
-D = diag(e^{+i*k*eta}) the matrix D H(eta) D^dag is real symmetric
-tridiagonal, so numpy.linalg.eigh solves a real symmetric problem.
-Eigenvectors are rotated back afterwards, so probabilities come out
-eta-independent while amplitudes keep their physical phases.
+Propagation is spectral: diagonalize the real symmetric tridiagonal site
+block once, then e^{-iHt} is exact at any t, with no error accumulation over
+the very long horizons the weak-coupling protocols need (omega*t ~ 1e5 and
+up). The eigenvectors are real (no bond phase in H; see model), and each
+HamiltonianMatrix's spectrum is computed once.
 
 Every amplitude comes from one kernel, sum_k V[target, k] c_k e^{-i lambda_k t}:
-transfer_amplitude takes c = conj(V[initial, :]), evolve c = V^dag psi.
+transfer_amplitude takes c = V[initial, :], evolve c = V^T psi.
 The long uniform sweeps the protocols are read from (omega_1 t* ~ 1e4-1e11)
 get their phases by blocked angle addition, about 2 sqrt(T) N complex exps
 instead of T N, when the grid itself passes a 4 eps split test; each phase
@@ -28,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalInvariantError
-from .model import HamiltonianMatrix, _is_integer, _readonly, _tridiagonal
+from .model import HamiltonianMatrix, _derived, _is_integer, _readonly
 
 __all__ = [
     "ExcitationState",
@@ -94,55 +90,42 @@ def qubit_state(n_sites: int, site: int, alpha: complex, beta: complex) -> Excit
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and unitary eigenvector columns of the site block."""
+    """Eigenvalues (ascending) and real orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eigenvalues", _readonly(np.asarray(self.eigenvalues, float)))
-        object.__setattr__(self, "eigenvectors", _readonly(np.asarray(self.eigenvectors, complex)))
+        object.__setattr__(self, "eigenvectors", _readonly(np.asarray(self.eigenvectors, float)))
 
     @property
     def n_sites(self) -> int:
         return self.eigenvalues.shape[0]
 
 
-def decompose(hamiltonian: HamiltonianMatrix) -> SpectralDecomposition:
-    """Eigendecomposition of the site block.
-
-    Accepts a HamiltonianMatrix as checked, or a bare array, which it checks
-    by constructing one. Internally gauges the bond phases away, solves the
-    real symmetric tridiagonal problem, restores the phases on the
-    eigenvector rows, and verifies the multiply-back residual (NaN fails).
-    """
-    if not isinstance(hamiltonian, HamiltonianMatrix):
-        hamiltonian = HamiltonianMatrix(hamiltonian)
+def _eigensystem(hamiltonian: HamiltonianMatrix) -> SpectralDecomposition:
     h = hamiltonian.matrix
-    n = h.shape[0]
-    off = h.diagonal(1)
-    # Row phases theta with theta_1 = 0, theta_{k+1} = theta_k - arg(H[k,k+1])
-    # make diag(e^{-i theta}) H diag(e^{+i theta}) real symmetric; the physical
-    # eigenvectors are then diag(e^{+i theta}) times the real ones.
-    phases = np.zeros(n)
-    phases[1:] = -np.cumsum(np.angle(off))
-    off_abs = np.abs(off)
-    gauged = _tridiagonal(h.diagonal().real, off_abs, off_abs, float)
     try:
-        lam, vec_real = np.linalg.eigh(gauged)
+        lam, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise NumericalInvariantError(
-            f"symmetric eigensolver failed to converge: {exc}"
-        ) from exc
-    vectors = np.exp(1j * phases)[:, None] * vec_real
-
+        raise NumericalInvariantError(f"eigensolver failed to converge: {exc}") from exc
     scale = float(np.max(np.abs(h))) or 1.0
-    residual = float(np.max(np.abs((vectors * lam) @ vectors.conj().T - h)))
+    residual = float(np.max(np.abs((vectors * lam) @ vectors.T - h)))
     if not residual <= 1e-10 * scale:
         raise NumericalInvariantError(
-            f"eigendecomposition residual {residual:.3e} exceeds 1e-10 relative"
-        )
+            f"eigendecomposition residual {residual:.3e} exceeds 1e-10 relative")
     return SpectralDecomposition(lam, vectors)
+
+
+def decompose(hamiltonian: HamiltonianMatrix) -> SpectralDecomposition:
+    """numpy.linalg.eigh of the real symmetric site block, with the
+    multiply-back residual verified (NaN fails). A HamiltonianMatrix's
+    spectrum is computed once (the same object on later calls); a bare array
+    is checked as a HamiltonianMatrix, and its spectrum is not kept."""
+    if not isinstance(hamiltonian, HamiltonianMatrix):
+        return _eigensystem(HamiltonianMatrix(hamiltonian))
+    return _derived(hamiltonian, "_spectrum", _eigensystem)
 
 
 def _block_size(t: np.ndarray) -> int:
@@ -171,10 +154,9 @@ def _mode_sum(rows: np.ndarray, coeffs: np.ndarray, eigenvalues: np.ndarray,
     lambda t. Any other input (non-uniform, fewer than 6 times, one time)
     has B = 1 and takes the direct exp(t (x) -i lambda), byte for byte.
 
-    The weights (a complex multiply) come before the exp, which ran 5-15x
-    slower straight after a complex matmul such as decompose's. einsum, not
-    a BLAS mat-vec, sums in one thread and one order under any BLAS build,
-    the same for a row alone or in a stack.
+    The weights are real (real eigenvectors). einsum, not a BLAS mat-vec,
+    sums in one thread and one order under any BLAS build, the same for a
+    row alone or in a stack.
     """
     weights = rows * coeffs
     rate = -1j * eigenvalues
@@ -199,7 +181,7 @@ def evolve(state: ExcitationState, spec: SpectralDecomposition, t: float) -> Exc
             f"state has {state.n_sites} sites but decomposition has {spec.n_sites}"
         )
     v = spec.eigenvectors
-    coeffs = np.einsum("jk,j->k", v.conj(), state.amplitudes[1:])
+    coeffs = np.einsum("jk,j->k", v, state.amplitudes[1:])
     sites = _mode_sum(v, coeffs, spec.eigenvalues, np.array([t]))[0]
     return ExcitationState(np.append(state.amplitudes[0], sites))
 
@@ -228,7 +210,7 @@ def transfer_amplitude(initial_site: int, target_site, spec: SpectralDecompositi
     if not np.all(np.isfinite(t_arr)):
         raise ConfigError("times must be finite")
     v = spec.eigenvectors
-    amps = _mode_sum(v[targets - 1], np.conj(v[initial_site - 1, :]),
+    amps = _mode_sum(v[targets - 1], v[initial_site - 1, :],
                      spec.eigenvalues, t_arr.ravel())
     if t_arr.ndim == 0 and amps.ndim == 1:
         return complex(amps[0])

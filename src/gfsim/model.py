@@ -7,13 +7,18 @@ builds the N x N site block; the vacuum row/column (identically zero for
 closed dynamics) is added where needed by open_system.
 
 Couplings follow the square-root law J_k = J*sqrt(k), so the bond pattern
-matches the matrix elements of a truncated harmonic ladder. A uniform bond
-phase eta (complex couplings) is supported; frequencies are stored relative
-to the first cavity's resonance.
+matches the matrix elements of a truncated harmonic ladder; frequencies are
+stored relative to the first cavity's resonance. H is real symmetric: a
+uniform bond phase eta is the gauge D H D^dag with D = diag(e^{-i k eta}),
+so it changes no population and enters an amplitude <n|U|m> only as the
+factor e^{-i (n-m) eta}, which the qubit score applies (protocol). Each
+immutable object computes what derives from it once (_derived): a config
+its Hamiltonian, a Hamiltonian its spectrum, a plan its config.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -29,6 +34,7 @@ __all__ = [
     "build_couplings",
     "build_hamiltonian",
     "switching_frequencies",
+    "config_and_pair",
     "config_from_dict",
     "config_to_dict",
     "wrap_phase",
@@ -39,7 +45,7 @@ def wrap_phase(eta: float) -> float:
     """Wrap an angle into [-pi, pi)."""
     eta = float(eta)
     if not math.isfinite(eta):
-        raise ConfigError(f"coupling_phase must be finite, got {eta!r}")
+        raise ConfigError(f"phase must be finite, got {eta!r}")
     wrapped = (eta + math.pi) % (2.0 * math.pi) - math.pi
     # fmod can land exactly on +pi for inputs like pi - 1e-17
     if wrapped >= math.pi:
@@ -75,19 +81,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _derived(owner, key: str, make):
+    """make(owner) on the first call, the same object on later ones: kept in
+    the frozen owner's instance dict, outside its dataclass fields."""
+    stored = vars(owner)
+    if key not in stored:
+        stored[key] = make(owner)
+    return stored[key]
+
+
 @dataclass(frozen=True, eq=False)
 class ArrayConfig:
     """Immutable description of one cavity array.
 
     frequencies are the on-site resonance frequencies (length n_sites, in
-    units of the reference frequency), coupling_scale is J > 0,
-    coupling_phase is the uniform bond phase in [-pi, pi).
+    units of the reference frequency), coupling_scale is J > 0.
     """
 
     n_sites: int
     frequencies: np.ndarray
     coupling_scale: float
-    coupling_phase: float = 0.0
 
     def __post_init__(self) -> None:
         n = self.n_sites
@@ -118,40 +131,43 @@ class ArrayConfig:
             raise ConfigError(f"coupling_scale must be > 0, got {scale!r}")
         object.__setattr__(self, "coupling_scale", scale)
 
-        phase = self.coupling_phase
-        # a non-finite float is a number; wrap_phase refuses it as not finite
-        if not _is_real(phase) and not isinstance(phase, float):
-            raise ConfigError(f"coupling_phase must be a number, got {phase!r}")
-        object.__setattr__(self, "coupling_phase", wrap_phase(phase))
+
+@functools.cache
+def _above_band(n: int) -> np.ndarray:
+    """Read-only mask of the entries with j - i > 1 (its transpose: below)."""
+    return _readonly(np.subtract.outer(np.arange(n), np.arange(n)) < -1)
 
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianMatrix:
-    """Hermitian tridiagonal single-excitation Hamiltonian (site block only).
+    """Real symmetric tridiagonal single-excitation Hamiltonian (site block).
 
-    Construction copies the input once and checks shape, finiteness,
-    Hermiticity and tridiagonality (1e-14 relative), so code can rely on it.
+    Construction copies the input once as float64 and checks shape,
+    finiteness, symmetry and tridiagonality (1e-14 relative), so code can
+    rely on it. An imaginary part is refused (no bond phase; module docstring).
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        h = np.array(self.matrix, dtype=complex)
+        h = np.asarray(self.matrix)
+        if np.iscomplexobj(h) and np.any(h.imag):
+            raise ConfigError("Hamiltonian must be real (a bond phase is a gauge)")
+        h = np.array(h.real, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 1:
             raise ConfigError(f"Hamiltonian must be square, got shape {h.shape}")
         mag = np.abs(h)  # serves the finiteness, scale and off-band tests
         scale = float(mag.max()) or 1.0  # NaN or inf exactly when an entry is
         if not math.isfinite(scale):
             raise ConfigError("Hamiltonian entries must be finite")
-        herm_defect = float(np.max(np.abs(h - h.conj().T)))
-        if herm_defect > 1e-14 * scale:
+        sym_defect = float(np.abs(h - h.T).max())
+        if sym_defect > 1e-14 * scale:
             raise ConfigError(
-                f"Hamiltonian not Hermitian: max|H - H^dag| = {herm_defect:.3e} "
+                f"Hamiltonian not symmetric: max|H - H^T| = {sym_defect:.3e} "
                 f"exceeds 1e-14 * {scale:.3e}"
             )
-        k = np.arange(h.shape[0])
-        above = np.subtract.outer(k, k) < -1  # j - i > 1; its transpose is below
-        band_defect = float(mag[above].max(initial=0.0) + mag[above.T].max(initial=0.0))
+        above = _above_band(h.shape[0])
+        band_defect = float(mag[above].max(initial=0.0) + mag.T[above].max(initial=0.0))
         if band_defect > 1e-14 * scale:
             raise ConfigError(
                 f"Hamiltonian not tridiagonal: off-band magnitude {band_defect:.3e}"
@@ -174,25 +190,18 @@ def build_couplings(scale: float, n_sites: int) -> np.ndarray:
     return scale * np.sqrt(np.arange(1, int(n_sites), dtype=float))
 
 
-def _tridiagonal(diagonal, upper, lower, dtype) -> np.ndarray:
-    """N x N matrix with these main, upper and lower bands."""
-    n = len(diagonal)
-    h = np.zeros(n * n, dtype=dtype)
-    h[::n + 1], h[1::n + 1], h[n::n + 1] = diagonal, upper, lower
-    return h.reshape(n, n)
+def _assemble(config: ArrayConfig) -> HamiltonianMatrix:
+    n, bonds = config.n_sites, build_couplings(config.coupling_scale, config.n_sites)
+    h = np.zeros(n * n)
+    h[::n + 1], h[1::n + 1], h[n::n + 1] = config.frequencies, bonds, bonds
+    return HamiltonianMatrix(h.reshape(n, n))
 
 
 def build_hamiltonian(config: ArrayConfig) -> HamiltonianMatrix:
-    """Assemble the N x N site-block Hamiltonian from a config.
-
-    Diagonal carries the frequencies; bond (k, k+1) carries
-    J*sqrt(k)*exp(i*eta), with the conjugate below the diagonal. The bands
-    are written straight into one array, which HamiltonianMatrix checks.
-    """
-    bonds = build_couplings(config.coupling_scale, config.n_sites) * np.exp(
-        1j * config.coupling_phase)
-    return HamiltonianMatrix(
-        _tridiagonal(config.frequencies, bonds, np.conj(bonds), complex))
+    """The config's N x N site block, built once (the same object on later
+    calls): the frequencies on the diagonal, J*sqrt(k) on bonds (k, k+1) and
+    (k+1, k), written by strided slices into one float64 array."""
+    return _derived(config, "_hamiltonian", _assemble)
 
 
 def switching_frequencies(base: float, m: int, n: int, n_sites: int) -> np.ndarray:
@@ -245,8 +254,9 @@ def _require_number(data: Mapping, key: str, default=None):
     return val
 
 
-def config_from_dict(data: Mapping) -> ArrayConfig:
-    """Build an ArrayConfig from the JSON schema mapping.
+def config_and_pair(data: Mapping) -> tuple[ArrayConfig, tuple[int, int] | None]:
+    """Build an ArrayConfig from the JSON schema mapping, with the site pair
+    (m, n) its switching profile names (None for any other profile).
 
     Unknown fields are rejected with the offending key named, so typos fail
     loudly instead of silently running defaults.
@@ -266,6 +276,7 @@ def config_from_dict(data: Mapping) -> ArrayConfig:
     if "frequencies" not in data:
         raise ConfigError("config missing required field 'frequencies'")
     freq_spec = data["frequencies"]
+    pair = None
     if isinstance(freq_spec, Mapping):
         for key in freq_spec:
             if key not in _PRESET_KEYS:
@@ -280,13 +291,12 @@ def config_from_dict(data: Mapping) -> ArrayConfig:
                     )
             frequencies = np.full(n_sites, float(c))
         elif preset == "switching":
-            m = freq_spec.get("m")
-            n = freq_spec.get("n")
-            if not isinstance(m, int) or not isinstance(n, int):
+            pair = (freq_spec.get("m"), freq_spec.get("n"))
+            if not all(isinstance(site, int) for site in pair):
                 raise ConfigError(
                     "frequency preset 'switching' requires integer 'm' and 'n'"
                 )
-            frequencies = switching_frequencies(float(c), m, n, n_sites)
+            frequencies = switching_frequencies(float(c), *pair, n_sites)
         else:
             raise ConfigError(
                 f"frequency preset must be 'resonant' or 'switching', got {preset!r}"
@@ -307,15 +317,16 @@ def config_from_dict(data: Mapping) -> ArrayConfig:
         n_sites=n_sites,
         frequencies=np.asarray(frequencies, dtype=float),
         coupling_scale=float(_require_number(data, "J")),
-    )
+    ), pair
+
+
+def config_from_dict(data: Mapping) -> ArrayConfig:
+    """config_and_pair's ArrayConfig alone."""
+    return config_and_pair(data)[0]
 
 
 def config_to_dict(config: ArrayConfig) -> dict:
-    """Resolved (explicit-frequency) schema form, for metadata emission; a
-    nonzero coupling_phase, which the schema cannot hold, is refused."""
-    if config.coupling_phase != 0.0:
-        raise ConfigError("the config schema has no bond phase, got "
-                          f"coupling_phase = {config.coupling_phase!r}")
+    """Resolved (explicit-frequency) schema form, for metadata emission."""
     return {
         "n_sites": config.n_sites,
         "frequencies": [float(w) for w in config.frequencies],

@@ -27,6 +27,7 @@ oracle the tests tie it to.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -160,7 +161,7 @@ def _rk4_stack(h: HamiltonianMatrix, gamma: float, rho: np.ndarray,
     """
     spec = decompose(h)
     lam, vec = spec.eigenvalues, spec.eigenvectors
-    vec_h = vec.conj().T
+    vec_h = vec.T
     mu_ss = -1j * (lam[:, None] - lam[None, :]) - gamma
     mu_v = 1j * lam - 0.5 * gamma
     # row i takes steps[i] steps of size sizes[which[i]]
@@ -344,7 +345,9 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
 
     t_star = plan.transfer_time
     spec = decompose(build_hamiltonian(plan_config(plan)))
-    a = transfer_amplitude(plan.source, plan.target, spec, t_star)
+    # the real-H amplitude times the factor e^{-i(n-m) eta*} of the bond phase
+    a = transfer_amplitude(plan.source, plan.target, spec, t_star) * cmath.exp(
+        -1j * (plan.target - plan.source) * plan.eta_star)
 
     # one (cells x samples) array; the per-cell damping factors come from
     # math as column vectors, so every element is the scalar formula's float

@@ -5,7 +5,9 @@ intermediate site is detuned by order unity. For weak coupling the spectrum
 then contains a near-degenerate eigenvector pair (the doublet) living almost
 entirely on |m> and |n>; its splitting 2*theta sets the transfer time
 t* = pi/(2*theta), and a uniform bond phase eta* makes the transferred
-amplitude land with phase +1 so superpositions with the vacuum survive.
+amplitude land with phase +1 so superpositions with the vacuum survive. The
+phase is a gauge (model): the qubit score multiplies the real-H amplitude by
+e^{-i(n-m) eta}.
 
 make_plan does not read the doublet off an eigensolver: theta is a
 difference of two O(1) eigenvalues, so a backward-stable solver gets it only
@@ -33,6 +35,7 @@ lambda_mean, t* and eta* itself, so a plan document cannot contradict them.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field, fields
@@ -42,8 +45,8 @@ import numpy as np
 
 from .dynamics import decompose, transfer_amplitude
 from .errors import ConfigError, DoubletNotResolvedError
-from .model import (ArrayConfig, _is_integer, _is_real, _is_real_vector, build_couplings,
-                    build_hamiltonian, switching_frequencies, wrap_phase)
+from .model import (ArrayConfig, _derived, _is_integer, _is_real, _is_real_vector,
+                    build_couplings, build_hamiltonian, switching_frequencies, wrap_phase)
 
 __all__ = [
     "TransferPlan",
@@ -278,10 +281,9 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
 
     The template supplies n_sites, coupling_scale and the base frequency
     (its first entry); the parabolic profile for the requested pair replaces
-    the template's own frequencies, and the template's bond phase is ignored
-    (the plan derives its own eta_star; loss is applied by open_system at
-    run time). m > n is allowed and plans the reverse transfer over the same
-    profile.
+    the template's own frequencies (the plan derives its own eta_star; loss
+    is applied by open_system at run time). m > n is allowed and plans the
+    reverse transfer over the same profile.
 
     The doublet comes from exact partitioning onto {m, n} (module
     docstring), so purity, predicted_peak and the orientation sign do not
@@ -348,15 +350,16 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
     )
 
 
-def plan_config(plan: TransferPlan, eta: float | None = None) -> ArrayConfig:
-    """ArrayConfig that realizes a plan: bond phase eta_star, or eta wrapped
-    into [-pi, pi). Its coupling_phase is the phase the plan runs at."""
-    return ArrayConfig(
-        n_sites=plan.n_sites,
-        frequencies=plan.frequencies,
-        coupling_scale=plan.coupling_scale,
-        coupling_phase=plan.eta_star if eta is None else eta,
-    )
+def plan_config(plan: TransferPlan) -> ArrayConfig:
+    """ArrayConfig that realizes a plan, made once (the same object later)."""
+    return _derived(plan, "_config", lambda p: ArrayConfig(
+        n_sites=p.n_sites, frequencies=p.frequencies, coupling_scale=p.coupling_scale))
+
+
+def _applied_phase(plan: TransferPlan, eta: float | None = None) -> float:
+    """The bond phase a qubit score runs at: eta wrapped into [-pi, pi), or
+    the plan's eta_star when eta is None."""
+    return plan.eta_star if eta is None else wrap_phase(eta)
 
 
 def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
@@ -364,10 +367,10 @@ def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
     """Transfer fidelity of alpha|vac> + beta|m> against alpha|vac> + beta|n>.
 
     Returns (numeric, closed_form) arrays over the time grid. numeric is the
-    exact |<target|psi(t)>|^2 under the full Hamiltonian with bond phase
-    eta (default: the plan's eta_star); closed_form is the two-level
-    doublet-model prediction computed from the plan fields alone, kept as
-    an independent cross-check of the numerics.
+    exact |<target|psi(t)>|^2 under the full Hamiltonian with bond phase eta
+    (default: the plan's eta_star), the real-H amplitude times e^{-i(n-m) eta};
+    closed_form is the two-level doublet-model prediction computed from the
+    plan fields alone, an independent cross-check of the numerics.
     """
     alpha = complex(alpha)
     beta = complex(beta)
@@ -377,16 +380,18 @@ def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
             f"qubit amplitudes not normalized: |alpha|^2 + |beta|^2 = {norm!r}"
         )
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    cfg = plan_config(plan, eta)
-    eta_used = cfg.coupling_phase
+    delta = plan.target - plan.source
+    eta_used = _applied_phase(plan, eta)
 
-    spec = decompose(build_hamiltonian(cfg))
+    spec = decompose(build_hamiltonian(plan_config(plan)))
     amp = transfer_amplitude(plan.source, plan.target, spec, t_arr)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
-    numeric = np.abs(a2 + b2 * amp) ** 2
+    numeric = np.abs(a2 + b2 * (amp * cmath.exp(-1j * delta * eta_used))) ** 2
 
-    delta = plan.target - plan.source
-    phase = np.exp(-1j * (plan.lambda_mean * t_arr + delta * eta_used))
-    closed_amp = -1j * plan.plus_overlap_sign * phase * np.sin(plan.theta * t_arr)
-    closed = np.abs(a2 + b2 * closed_amp) ** 2
+    # the doublet amplitude -i s e^{-i phi} sin(theta t), phi = lambda_mean t +
+    # (n-m) eta, has real part -s sin(phi) sin(theta t): two real sines per time
+    phi = plan.lambda_mean * t_arr + delta * eta_used
+    s_t = np.sin(plan.theta * t_arr)
+    closed = (a2 * a2 + b2 * b2 * s_t * s_t
+              - 2.0 * a2 * b2 * plan.plus_overlap_sign * np.sin(phi) * s_t)
     return numeric, closed

@@ -2,7 +2,9 @@
 can hold its results against an independent computation. lindblad_rhs
 writes the loss generator out term by term (integrate_master works per
 eigenmode); identify_doublet reads the doublet off the eigensolver
-(make_plan partitions the chain instead)."""
+(make_plan partitions the chain instead); phased_hamiltonian and
+complex_transfer_amplitude are the complex route with the bond phase inside
+H (the package keeps H real and puts the phase on the amplitude)."""
 
 import math
 
@@ -10,10 +12,33 @@ import numpy as np
 
 from gfsim.dynamics import ExcitationState, SpectralDecomposition
 from gfsim.errors import ConfigError, DoubletNotResolvedError
-from gfsim.model import HamiltonianMatrix
+from gfsim.model import ArrayConfig, HamiltonianMatrix, build_couplings
 from gfsim.open_system import DensityMatrix
 
 _PURITY_RESOLVED = 0.5
+
+
+def phased_hamiltonian(config: ArrayConfig, eta: float) -> np.ndarray:
+    """Dense complex site block of `config` with the uniform bond phase eta:
+    J*sqrt(k)*e^{i eta} on bond (k, k+1), its conjugate below."""
+    bonds = build_couplings(config.coupling_scale, config.n_sites) * np.exp(1j * eta)
+    return (np.diag(config.frequencies.astype(complex)) + np.diag(bonds, 1)
+            + np.diag(bonds.conj(), -1))
+
+
+def gauge(n_sites: int, eta: float) -> np.ndarray:
+    """Diagonal of D = diag(e^{-i k eta}), k = 0..N-1: phased_hamiltonian(c,
+    eta) = D H D^dag with H the real (eta = 0) matrix, so <n|U_eta(t)|m> =
+    e^{-i (n-m) eta} <n|U(t)|m>."""
+    return np.exp(-1j * eta * np.arange(n_sites))
+
+
+def complex_transfer_amplitude(h: np.ndarray, m: int, n: int, times) -> np.ndarray:
+    """<n|e^{-iHt}|m> for a complex Hermitian H, from numpy's complex eigh
+    and the direct exp at each time (sites 1-based)."""
+    lam, vec = np.linalg.eigh(h)
+    phases = np.exp(np.multiply.outer(np.asarray(times, dtype=float), -1j * lam))
+    return phases @ (vec[n - 1] * vec[m - 1].conj())
 
 
 def lindblad_rhs(rho, hamiltonian, gamma: float) -> np.ndarray:

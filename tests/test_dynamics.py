@@ -24,6 +24,7 @@ from gfsim.dynamics import (
 )
 
 from conftest import brute_force_evolve, read_csv_output
+from oracles import complex_transfer_amplitude, gauge, phased_hamiltonian
 
 
 # Spectra of the fig2 (N = 10, pair (3, 7)) and fig3b (N = 6, pair (2, 4))
@@ -47,8 +48,7 @@ SWITCHING_SPECTRA = {
 
 def random_config(rng, n_sites):
     freqs = rng.uniform(-3.0, 3.0, n_sites)
-    return ArrayConfig(n_sites, freqs, rng.uniform(0.05, 1.5),
-                       coupling_phase=rng.uniform(-math.pi, math.pi))
+    return ArrayConfig(n_sites, freqs, rng.uniform(0.05, 1.5))
 
 
 def test_state_validation():
@@ -111,16 +111,55 @@ def test_decompose_matches_high_precision_spectrum(profile):
 
 
 def test_eigenvalues_are_phase_independent():
+    # the complex route (oracle: the phase inside H, numpy's complex eigh)
+    # has the real route's spectrum
     rng = np.random.default_rng(11)
-    base = random_config(rng, 6)
-    spec0 = decompose(build_hamiltonian(
-        ArrayConfig(6, base.frequencies, base.coupling_scale)))
+    cfg = random_config(rng, 6)
+    spec0 = decompose(build_hamiltonian(cfg))
     for eta in (0.3, -1.2, 2.9):
-        cfg = ArrayConfig(6, base.frequencies, base.coupling_scale,
-                          coupling_phase=eta)
-        spec = decompose(build_hamiltonian(cfg))
-        np.testing.assert_allclose(spec.eigenvalues, spec0.eigenvalues,
-                                   rtol=1e-12, atol=1e-14)
+        lam = np.linalg.eigvalsh(phased_hamiltonian(cfg, eta))
+        np.testing.assert_allclose(lam, spec0.eigenvalues, rtol=1e-12, atol=1e-14)
+
+
+def test_decompose_is_real_and_made_once_per_hamiltonian(monkeypatch):
+    h = build_hamiltonian(random_config(np.random.default_rng(19), 5))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    spec = decompose(h)
+    assert decompose(h) is spec and len(calls) == 1
+    assert h.matrix.dtype == spec.eigenvectors.dtype == np.float64
+    # a bare array is checked each time and its spectrum is not kept
+    bare = np.array(h.matrix)
+    assert decompose(bare) is not decompose(bare) and len(calls) == 3
+
+
+def test_gauge_identity_of_the_bond_phase():
+    # H(eta) = D H D^dag with D = diag(e^{-i k eta}), to the rounding of the
+    # two exps of k eta (n |eta| eps each) and their product (3 eps); so a
+    # phased amplitude is the real route's times e^{-i (n - m) eta}. The two
+    # sides come from
+    # two eigensolvers (complex and real eigh) with backward errors of a few
+    # N eps ||H||; that dephases them by ~ N eps ||H|| t. Bound: 4 N eps
+    # (1 + max|lambda| max|t|), as for the brute-force propagator.
+    rng = np.random.default_rng(23)
+    for n in (2, 5, 9):
+        cfg = random_config(rng, n)
+        real = decompose(build_hamiltonian(cfg))
+        times = np.linspace(0.0, 200.0, 401)
+        lam_max = np.max(np.abs(real.eigenvalues))
+        bound = 4.0 * n * np.finfo(float).eps * (1.0 + lam_max * times[-1])
+        for eta in (0.7, -2.4, math.pi - 1e-3):
+            d = gauge(n, eta)
+            h_eta = phased_hamiltonian(cfg, eta)
+            dhd = d[:, None] * build_hamiltonian(cfg).matrix * d.conj()[None, :]
+            assert np.max(np.abs(h_eta - dhd)) <= (n * abs(eta) + 3) * np.finfo(float).eps \
+                * np.max(np.abs(h_eta))
+            for m, target in ((1, n), (n, 1), (2, min(n, 4))):
+                ours = transfer_amplitude(m, target, real, times) * np.exp(
+                    -1j * (target - m) * eta)
+                theirs = complex_transfer_amplitude(h_eta, m, target, times)
+                assert np.max(np.abs(ours - theirs)) <= bound, (n, eta, m, target)
 
 
 def test_evolve_matches_brute_force_propagator():
@@ -262,17 +301,16 @@ def test_norm_preserved_for_random_arrays(n, seed, t):
 @given(st.integers(min_value=0, max_value=2 ** 31),
        st.floats(min_value=-math.pi, max_value=3.0, allow_nan=False))
 def test_site_probabilities_phase_invariant(seed, eta):
-    # the bond phase is a gauge choice: single-site populations cannot see it
+    # the bond phase is a gauge choice: single-site populations cannot see
+    # it. The phased side is the oracle's complex route (phase inside H).
     rng = np.random.default_rng(seed)
-    freqs = rng.uniform(-2.0, 2.0, 5)
-    j = rng.uniform(0.1, 1.0)
-    plain = decompose(build_hamiltonian(ArrayConfig(5, freqs, j)))
-    gauged = decompose(build_hamiltonian(
-        ArrayConfig(5, freqs, j, coupling_phase=eta)))
+    cfg = ArrayConfig(5, rng.uniform(-2.0, 2.0, 5), rng.uniform(0.1, 1.0))
+    plain = decompose(build_hamiltonian(cfg))
     start = single_photon_state(5, 2)
     for t in (0.9, 6.4):
         p0 = np.abs(evolve(start, plain, t).amplitudes[1:]) ** 2
-        p1 = np.abs(evolve(start, gauged, t).amplitudes[1:]) ** 2
+        p1 = np.array([abs(complex_transfer_amplitude(phased_hamiltonian(cfg, eta), 2, k,
+                                                      [t])[0]) ** 2 for k in range(1, 6)])
         np.testing.assert_allclose(p0, p1, atol=1e-11)
 
 
@@ -363,7 +401,7 @@ def test_direct_route_is_bitwise_the_plain_formula():
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2 ** 31),
        st.floats(min_value=-30.0, max_value=30.0, allow_nan=False))
 def test_multi_target_matches_brute_force_propagator(n, seed, t):
-    # random frequencies, couplings and bond phase; scipy's expm of the dense
+    # random frequencies and couplings; scipy's expm of the dense
     # matrix shares nothing with the spectral route. eigh is backward stable,
     # so V diag(lambda) V^dag = H + E with |E| ~ n eps |H|: the propagator is
     # off by ~ |E| |t|, plus ~ n eps from V's non-orthogonality; expm's own

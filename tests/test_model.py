@@ -1,6 +1,7 @@
 """Config validation, Hamiltonian construction, and the switching profile."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gfsim.model import (
     HamiltonianMatrix,
     build_couplings,
     build_hamiltonian,
+    config_and_pair,
     config_from_dict,
     config_to_dict,
     switching_frequencies,
@@ -46,7 +48,6 @@ def test_build_couplings_square_root_law():
 def test_array_config_validation():
     good = ArrayConfig(4, np.array([1.0, 1.1, 1.2, 1.3]), 0.1)
     assert good.n_sites == 4
-    assert good.coupling_phase == 0.0
     with pytest.raises(ConfigError):
         ArrayConfig(1, np.array([1.0]), 0.1)
     with pytest.raises(ConfigError):
@@ -60,8 +61,7 @@ def test_array_config_validation():
     for kwargs, named in ((dict(frequencies=[[1.0, 2.0], 1.0]), "frequencies"),
                           (dict(frequencies=["1.0", "2"]), "frequencies"),
                           (dict(frequencies=[True, 2.0]), "frequencies"),
-                          (dict(coupling_scale=True), "coupling_scale"),
-                          (dict(coupling_phase="0.1"), "coupling_phase")):
+                          (dict(coupling_scale=True), "coupling_scale")):
         args = dict(n_sites=2, frequencies=np.ones(2), coupling_scale=0.1) | kwargs
         with pytest.raises(ConfigError, match=named):
             ArrayConfig(**args)
@@ -75,41 +75,68 @@ def test_array_config_is_frozen_and_read_only():
         cfg.frequencies[0] = 2.0
 
 
-def test_array_config_wraps_phase():
-    cfg = ArrayConfig(3, np.ones(3), 0.1, coupling_phase=2 * math.pi + 0.3)
-    assert cfg.coupling_phase == pytest.approx(0.3)
+def test_array_config_has_no_bond_phase():
+    # the phase is a gauge: it lives on the qubit score's amplitude, not in
+    # the config (and so not in config_to_dict, which once had to refuse it)
+    assert [f.name for f in fields(ArrayConfig)] == ["n_sites", "frequencies",
+                                                     "coupling_scale"]
+    with pytest.raises(TypeError, match="coupling_phase"):
+        ArrayConfig(3, np.ones(3), 0.1, coupling_phase=0.4)
+    assert set(config_to_dict(ArrayConfig(3, np.ones(3), 0.1))) == {"n_sites",
+                                                                   "frequencies", "J"}
 
 
 def test_build_hamiltonian_structure():
-    cfg = ArrayConfig(5, np.array([1.0, 1.5, 1.0, -0.5, -3.0]), 0.05,
-                      coupling_phase=0.7)
+    cfg = ArrayConfig(5, np.array([1.0, 1.5, 1.0, -0.5, -3.0]), 0.05)
     h = build_hamiltonian(cfg).matrix
-    np.testing.assert_allclose(np.diag(h).real, cfg.frequencies, rtol=1e-15)
-    assert np.max(np.abs(np.diag(h).imag)) == 0.0
-    expected = 0.05 * np.sqrt(np.arange(1, 5)) * np.exp(1j * 0.7)
+    assert h.dtype == np.float64
+    np.testing.assert_allclose(np.diag(h), cfg.frequencies, rtol=1e-15)
+    expected = 0.05 * np.sqrt(np.arange(1, 5))
     np.testing.assert_allclose(np.diag(h, 1), expected, rtol=1e-15)
-    np.testing.assert_allclose(h, h.conj().T, atol=1e-16)
+    assert np.array_equal(h, h.T)
     # nothing beyond the first off-diagonal
     assert np.max(np.abs(np.triu(h, 2))) == 0.0
 
 
+def test_build_hamiltonian_is_built_once_per_config():
+    cfg = ArrayConfig(4, np.ones(4), 0.1)
+    h = build_hamiltonian(cfg)
+    assert build_hamiltonian(cfg) is h
+    # the value sits outside the dataclass fields: the schema form and the
+    # field list are what they were before the first call
+    assert [f.name for f in fields(cfg)] == ["n_sites", "frequencies", "coupling_scale"]
+    assert config_to_dict(cfg) == {"n_sites": 4, "frequencies": [1.0] * 4, "J": 0.1}
+    # an equal config is another object, with its own Hamiltonian
+    again = build_hamiltonian(ArrayConfig(4, np.ones(4), 0.1))
+    assert again is not h and again.matrix.tobytes() == h.matrix.tobytes()
+
+
 def _chain(n):
-    """A valid complex tridiagonal matrix to spoil one entry of."""
-    bonds = 0.3 * np.exp(0.4j) * np.arange(1, n)
-    return np.diag(np.arange(1.0, n + 1)) + np.diag(bonds, 1) + np.diag(bonds.conj(), -1)
+    """A valid real tridiagonal matrix to spoil one entry of."""
+    bonds = 0.3 * np.arange(1, n)
+    return np.diag(np.arange(1.0, n + 1)) + np.diag(bonds, 1) + np.diag(bonds, -1)
 
 
 def test_hamiltonian_matrix_rejects_bad_input():
     with pytest.raises(ConfigError):
         HamiltonianMatrix(np.ones((2, 3)))
     with pytest.raises(ConfigError):
-        HamiltonianMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))   # not hermitian
+        HamiltonianMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))   # not symmetric
     with pytest.raises(ConfigError):
         HamiltonianMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     band = np.diag([1.0, 1.0, 1.0]) + 0.5 * np.eye(3, k=2) + 0.5 * np.eye(3, k=-2)
     with pytest.raises(ConfigError):
         HamiltonianMatrix(band)                                 # not tridiagonal
-    h = HamiltonianMatrix(np.diag([1.0, 2.0]).astype(complex))
+    # the runtime is real: a complex array is refused, Hermitian or not, a
+    # phased chain included; one whose imaginary parts are all zero is the
+    # real matrix it holds
+    phased = _chain(4) * np.exp(0.4j * np.subtract.outer(np.arange(4), np.arange(4)))
+    for complex_h in (phased, [[1.0, 0.5j], [-0.5j, 1.0]], [[1.0, 1e-300j], [0.0, 1.0]]):
+        with pytest.raises(ConfigError, match="real"):
+            HamiltonianMatrix(complex_h)
+    assert HamiltonianMatrix(_chain(4).astype(complex)).matrix.tobytes() == _chain(4).tobytes()
+    h = HamiltonianMatrix(np.diag([1.0, 2.0]))
+    assert h.matrix.dtype == np.float64
     with pytest.raises(ValueError):
         h.matrix[0, 0] = 9.0
     # one |H| array serves the finiteness, scale and off-band tests; each
@@ -120,16 +147,16 @@ def test_hamiltonian_matrix_rejects_bad_input():
         ((2, 2), np.nan, "finite"),            # NaN on the diagonal
         ((0, 3), np.nan, "finite"),            # NaN off the band
         ((1, 2), np.inf, "finite"),            # inf off the diagonal
-        ((0, n - 1), 1e-3, "Hermitian"),       # a lone off-band entry
+        ((0, n - 1), 1e-3, "symmetric"),       # a lone off-band entry
     ]:
         bad = _chain(n)
         bad[i, j] = value
         cases.append((bad, fragment))
     bad = _chain(n)
-    bad[2, 1] = bad[1, 2]                      # lower entry not the conjugate
-    cases.append((bad, "Hermitian"))
+    bad[2, 1] = -bad[1, 2]                     # lower entry not the mirror
+    cases.append((bad, "symmetric"))
     bad = _chain(n)
-    bad[0, n - 1] = bad[n - 1, 0] = 1e-3       # Hermitian corner pair
+    bad[0, n - 1] = bad[n - 1, 0] = 1e-3       # symmetric corner pair
     cases.append((bad, "tridiagonal"))
     # the off-band defect is the largest entry above the band plus the
     # largest below it: a pair each at 0.6 of 1e-14 * max|H| = 5e-14 fails
@@ -149,21 +176,17 @@ def test_hamiltonian_matrix_rejects_bad_input():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2 ** 31),
-       st.floats(min_value=1e-4, max_value=2.0),
-       st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
-def test_build_hamiltonian_equals_per_element_assembly(n, seed, coupling, eta):
+       st.floats(min_value=1e-4, max_value=2.0))
+def test_build_hamiltonian_equals_per_element_assembly(n, seed, coupling):
     # the bands are written by strided slices; every entry must be bitwise
     # what writing it out one element at a time gives
     freqs = np.random.default_rng(seed).uniform(-3.0, 3.0, n)
-    cfg = ArrayConfig(n, freqs, coupling, coupling_phase=eta)
-    phase = np.exp(1j * cfg.coupling_phase)
-    expected = np.zeros((n, n), dtype=complex)
+    cfg = ArrayConfig(n, freqs, coupling)
+    expected = np.zeros((n, n))
     for k in range(n):
         expected[k, k] = cfg.frequencies[k]
     for k in range(1, n):
-        bond = cfg.coupling_scale * math.sqrt(k) * phase
-        expected[k - 1, k] = bond
-        expected[k, k - 1] = np.conj(bond)
+        expected[k - 1, k] = expected[k, k - 1] = cfg.coupling_scale * math.sqrt(k)
     assert build_hamiltonian(cfg).matrix.tobytes() == expected.tobytes()
 
 
@@ -217,13 +240,11 @@ def test_config_from_dict_explicit_and_presets():
     cfg = config_from_dict({"n_sites": 3, "frequencies": [1.0, 2.0, 3.0],
                             "J": 0.5})
     np.testing.assert_array_equal(cfg.frequencies, [1.0, 2.0, 3.0])
-    assert cfg.coupling_phase == 0.0
 
     res = config_from_dict({"n_sites": 4,
                             "frequencies": {"preset": "resonant", "C": 2.0},
                             "J": 0.1})
     np.testing.assert_allclose(res.frequencies, 2.0)
-    assert res.coupling_phase == 0.0
 
     sw = config_from_dict({"n_sites": 6,
                            "frequencies": {"preset": "switching", "C": 1.0,
@@ -284,11 +305,22 @@ def test_config_roundtrip():
     again = config_from_dict(config_to_dict(cfg))
     np.testing.assert_allclose(again.frequencies, cfg.frequencies, rtol=1e-15)
     assert again.coupling_scale == cfg.coupling_scale
-    assert again.coupling_phase == cfg.coupling_phase
 
 
-def test_config_to_dict_refuses_a_phase_it_cannot_write():
-    # the schema has no bond phase, so writing one would drop it silently
-    cfg = ArrayConfig(3, np.ones(3), 0.1, coupling_phase=0.4)
-    with pytest.raises(ConfigError, match="bond phase"):
-        config_to_dict(cfg)
+def test_config_and_pair_names_only_a_switching_pair():
+    # the one parse of the frequency spec: the CLI takes its planned pair
+    # from here and never reads the raw mapping
+    for spec, pair in (({"preset": "switching", "C": 1.0, "m": 2, "n": 4}, (2, 4)),
+                       ({"preset": "switching", "m": 5, "n": 2}, (5, 2)),
+                       ({"preset": "resonant", "C": 1.0}, None),
+                       ([1.0, 1.8, 2.2, 2.2, 1.8, 1.0], None)):
+        data = {"n_sites": 6, "frequencies": spec, "J": 0.0013}
+        cfg, got = config_and_pair(data)
+        assert got == pair
+        assert cfg.frequencies.tobytes() == config_from_dict(data).frequencies.tobytes()
+    cfg, _ = config_and_pair({"n_sites": 6, "J": 0.0013,
+                              "frequencies": {"preset": "switching", "m": 2, "n": 4}})
+    np.testing.assert_array_equal(cfg.frequencies, switching_frequencies(1.0, 2, 4, 6))
+    with pytest.raises(ConfigError, match="integer 'm' and 'n'"):
+        config_and_pair({"n_sites": 6, "J": 0.0013,
+                         "frequencies": {"preset": "switching", "m": 2, "n": 4.0}})

@@ -8,6 +8,7 @@ factorized solution for a lossy single excitation (amplitudes damped by
 e^{-gamma t / 2} around the unitary flow).
 """
 
+import cmath
 import math
 import warnings
 
@@ -30,7 +31,7 @@ from gfsim.open_system import (
 )
 
 from conftest import resonant_template
-from oracles import lindblad_rhs, state_fidelity
+from oracles import gauge, lindblad_rhs, state_fidelity
 
 
 def dense_lindblad(rho, h, gamma):
@@ -86,8 +87,7 @@ def test_density_matrix_validation():
 def test_rhs_matches_dense_superoperator():
     rng = np.random.default_rng(23)
     for n in (2, 3, 5):
-        cfg = ArrayConfig(n, rng.uniform(-2, 2, n), 0.4,
-                          coupling_phase=rng.uniform(-3, 3))
+        cfg = ArrayConfig(n, rng.uniform(-2, 2, n), 0.4)
         h = build_hamiltonian(cfg)
         for gamma in (0.0, 0.07, 1.3):
             rho = random_density(rng, n + 1)
@@ -125,7 +125,7 @@ def test_one_step_equals_explicit_rk4_stages():
     # the per-eigenmode RK4 factor must equal one explicit 4-stage step of
     # lindblad_rhs
     rng = np.random.default_rng(31)
-    cfg = ArrayConfig(4, rng.uniform(-1, 1, 4), 0.35, coupling_phase=0.4)
+    cfg = ArrayConfig(4, rng.uniform(-1, 1, 4), 0.35)
     h = build_hamiltonian(cfg)
     gamma, dt = 0.12, 0.01
     rho = random_density(rng, 5)
@@ -163,7 +163,7 @@ def explicit_checkpoints(rho, h, gamma, dt, counts):
 
 def checkpoint_run():
     rng = np.random.default_rng(43)
-    cfg = ArrayConfig(4, rng.uniform(-1, 1, 4), 0.35, coupling_phase=0.9)
+    cfg = ArrayConfig(4, rng.uniform(-1, 1, 4), 0.35)
     h = build_hamiltonian(cfg)
     rho = random_density(rng, 5)
     gamma, dt = 0.08, 0.02
@@ -304,10 +304,10 @@ def test_rk4_powers_match_high_precision():
 def test_integrator_matches_dense_superoperator_expm():
     # shares nothing with decompose: the (N+1)^2-dim Lindblad superoperator is
     # assembled column by column from dense_lindblad and exponentiated by
-    # scipy; mixed start, nonzero bond phase
+    # scipy; mixed start
     rng = np.random.default_rng(41)
     n, gamma, t_end = 4, 0.1, 5.0
-    cfg = ArrayConfig(n, rng.uniform(-1, 1, n), 0.7, coupling_phase=0.7)
+    cfg = ArrayConfig(n, rng.uniform(-1, 1, n), 0.7)
     h = build_hamiltonian(cfg)
     dim = n + 1
     basis = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
@@ -596,7 +596,8 @@ def per_cell_scores(plan, gammas, alpha, beta):
     for bit."""
     t_star = plan.transfer_time
     spec = decompose(build_hamiltonian(plan_config(plan)))
-    a = transfer_amplitude(plan.source, plan.target, spec, t_star)
+    a = transfer_amplitude(plan.source, plan.target, spec, t_star) * cmath.exp(
+        -1j * (plan.target - plan.source) * plan.eta_star)
     a2, b2 = np.abs(alpha) ** 2, np.abs(beta) ** 2
     n_samp = len(a2)
     means, errs = [], []
@@ -634,18 +635,22 @@ def test_exact_loss_path_matches_integrator_oracle():
     # factorization; integrate_master is the independent RK4 oracle. The plan
     # (N = 4, J = 0.02, 1 -> 3, t* ~ 1.4e3) is short enough for the oracle's
     # dt vs dt/2 guarantee (1e-8 per entry of rho; a fidelity sums at most
-    # (|alpha| + |beta|)^2 <= 2 entries' worth of it)
+    # (|alpha| + |beta|)^2 <= 2 entries' worth of it). The plan runs at
+    # eta*, which the integrator (real H only) takes by the gauge: with
+    # D = diag(e^{-i k eta}), scoring U_eta|psi> against |phi> is scoring
+    # U D^dag|psi> against D^dag|phi>, i.e. beta e^{i (site - 1) eta} on each
     j = 0.02
     plan = make_plan(resonant_template(4, coupling=j), 1, 3)
     h = build_hamiltonian(plan_config(plan))
+    d_dag = np.conj(gauge(4, plan.eta_star))
     grid = np.array([0.0, 0.05, 0.5])
     alphas, betas = reference_qubit_states()
     curve = average_transfer_fidelity(plan, grid, alphas, betas)
     for g_over_j, mean in zip(grid, curve.mean_fidelity):
         fids = []
         for alpha, beta in zip(alphas, betas):
-            rho0 = DensityMatrix.from_state(qubit_state(4, 1, alpha, beta))
+            rho0 = DensityMatrix.from_state(qubit_state(4, 1, alpha, beta * d_dag[0]))
             run = integrate_master(rho0, h, g_over_j * j, plan.transfer_time, 2e-3)
             assert run.converged
-            fids.append(state_fidelity(run.final, qubit_state(4, 3, alpha, beta)))
+            fids.append(state_fidelity(run.final, qubit_state(4, 3, alpha, beta * d_dag[2])))
         assert mean == pytest.approx(np.mean(fids), abs=2e-8)   # measured ~1e-11

@@ -218,6 +218,21 @@ def test_qubit_fidelity_at_transfer_time(plan_14):
         assert closed[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_real_closed_form_equals_the_complex_amplitude_form(plan_14, plan_25):
+    # |a2 + b2 c|^2 with c = -i s e^{-i phi} sin(theta t) is a2^2 + b2^2 S^2
+    # - 2 a2 b2 s sin(phi) S; the two evaluations differ by rounding of
+    # terms below (a2 + b2)^2 = 1: a few eps
+    for plan in (plan_14, plan_25):
+        times = np.linspace(0.0, 2.0 * plan.transfer_time, 2001)
+        for (alpha, beta), eta in zip(REFERENCE_QUBITS, (None, 0.3, -2.0, 3.0)):
+            _, closed = qubit_fidelity_curve(plan, alpha, beta, times, eta=eta)
+            used = plan.eta_star if eta is None else wrap_phase(eta)
+            phi = plan.lambda_mean * times + (plan.target - plan.source) * used
+            c = -1j * plan.plus_overlap_sign * np.exp(-1j * phi) * np.sin(plan.theta * times)
+            a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
+            assert np.max(np.abs(closed - np.abs(a2 + b2 * c) ** 2)) <= 8 * np.finfo(float).eps
+
+
 def test_wrong_phase_collapses_fidelity(plan_14):
     # offsetting eta rotates the arrival phase by (n - m) * offset; the
     # closed form gives |alpha|^4 + |beta|^4 + 2 |alpha beta|^2 cos(3 offset)
@@ -318,12 +333,38 @@ def test_plan_from_dict_rejects_corruption(plan_24):
         TransferPlan.from_dict(data)
 
 
-def test_plan_config_carries_frequencies_and_phase(plan_24):
+def test_plan_config_carries_the_plan_and_is_made_once(plan_24):
     cfg = plan_config(plan_24)
-    assert cfg.coupling_phase == pytest.approx(plan_24.eta_star)
     np.testing.assert_array_equal(cfg.frequencies, plan_24.frequencies)
-    custom = plan_config(plan_24, eta=0.0)
-    assert custom.coupling_phase == 0.0
+    assert (cfg.n_sites, cfg.coupling_scale) == (plan_24.n_sites, plan_24.coupling_scale)
+    assert plan_config(plan_24) is cfg
+    # the phase is the qubit score's, not the config's
+    with pytest.raises(TypeError):
+        plan_config(plan_24, eta=0.0)
+    # kept outside the fields: the plan document does not change
+    assert plan_24.to_dict() == TransferPlan.from_dict(plan_24.to_dict()).to_dict()
+    assert "_config" not in plan_24.to_dict()
+
+
+def test_one_spectrum_per_plan(template, monkeypatch):
+    # a transfer curve and a qubit curve of one plan decompose its
+    # Hamiltonian once, and both equal a cold computation bit for bit
+    plan = make_plan(template, 2, 4)
+    cold = TransferPlan.from_dict(plan.to_dict())        # same values, no memo
+    times = np.linspace(0.0, 2.0 * plan.transfer_time, 401)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    probs = transfer_probability(2, 4, decompose(build_hamiltonian(plan_config(plan))), times)
+    numeric, closed = qubit_fidelity_curve(plan, 0.6, 0.8j, times)
+    assert len(calls) == 1
+    cold_probs = transfer_probability(2, 4, decompose(build_hamiltonian(plan_config(cold))),
+                                      times)
+    cold_numeric, cold_closed = qubit_fidelity_curve(cold, 0.6, 0.8j, times)
+    assert len(calls) == 2
+    assert probs.tobytes() == cold_probs.tobytes()
+    assert numeric.tobytes() == cold_numeric.tobytes()
+    assert closed.tobytes() == cold_closed.tobytes()
 
 
 def test_qubit_curve_rejects_unnormalized_state(plan_24):

@@ -94,3 +94,24 @@ def test_config_key_table_matches_schema():
     documented = [row.strip("|").split("|", 1)[0].strip().strip("`")
                   for row in table.group(1).splitlines()]
     assert sorted(documented) == sorted(_TOP_KEYS)
+
+
+def test_module_table_names_resolve():
+    # every backticked name in a row of the "| module | contents |" table is
+    # an attribute of gfsim or of the module that row names
+    import importlib
+
+    import gfsim
+
+    table = re.search(r"\| module +\| contents \|\n\|[-|]+\|\n((?:\|.*\n)+)",
+                      README.read_text())
+    assert table, "README has no module table"
+    rows = 0
+    for row in table.group(1).splitlines():
+        module, contents = row.strip("|").split("|", 1)
+        mod = importlib.import_module(f"gfsim.{module.strip().strip('`')}")
+        for name in re.findall(r"`([^`]+)`", contents):
+            assert name.isidentifier(), (module, name)
+            assert hasattr(gfsim, name) or hasattr(mod, name), (module.strip(), name)
+        rows += 1
+    assert rows == 7
