@@ -516,7 +516,9 @@ def cmd_dissipation(exp: ResolvedExperiment) -> int:
     else:
         raise ConfigError("dissipation needs a site pair (-m/-n) or a preset with pairs")
 
-    grid = _grid(exp, "1e-3:1:25", log=True)
+    # a config run takes its loss grid and ensemble size from the fig5 study
+    default = _PRESETS["fig5"]
+    grid = _grid(exp, default["grid"], log=True)
 
     if exp.args.states == "fixed4":
         for flag in ("seed", "samples"):
@@ -528,7 +530,7 @@ def cmd_dissipation(exp: ResolvedExperiment) -> int:
         if exp.args.seed is None:
             raise ConfigError("--seed is required for --states haar (reproducibility)")
         samples = exp.args.samples if exp.args.samples is not None \
-            else exp.preset.get("samples", 200)
+            else exp.preset.get("samples", default["samples"])
         alpha, beta = sample_qubit_states(samples, exp.args.seed)
 
     multi = len(pairs) > 1

@@ -5,6 +5,15 @@ physics-regime refusal (3), numerical-invariant violation (4). Everything
 derives from GfsimError so callers can catch the whole package in one clause.
 """
 
+__all__ = [
+    "GfsimError",
+    "ConfigError",
+    "RegimeError",
+    "ClosedFormInapplicableError",
+    "DoubletNotResolvedError",
+    "NumericalInvariantError",
+]
+
 
 class GfsimError(Exception):
     """Base class for all gfsim errors."""

@@ -210,9 +210,10 @@ def switching_frequencies(base: float, m: int, n: int, n_sites: int) -> np.ndarr
     omega_k = base + (k-1) - (k-1)^2/(m+n-2). The profile is symmetric about
     k = (m+n)/2, so omega_m == omega_n exactly; neighbouring detunings are
     of order unity, which keeps weak bonds (J << 1) perturbative. It is
-    evaluated as base + k(s-k)/s with k = 0-based index and s = m+n-2: at
-    k = m-1 and k = n-1 the integer product k(s-k) is the same, so the two
-    frequencies are bitwise equal, not merely equal to rounding.
+    evaluated as base + k(s-k)/s with k = 0-based index and s = m+n-2 >= 1
+    (the sites are distinct and >= 1): at k = m-1 and k = n-1 the integer
+    product k(s-k) is the same, so the two frequencies are bitwise equal,
+    not merely equal to rounding.
     """
     for name, val in (("m", m), ("n", n), ("n_sites", n_sites)):
         if not _is_integer(val):
@@ -225,8 +226,6 @@ def switching_frequencies(base: float, m: int, n: int, n_sites: int) -> np.ndarr
         raise ConfigError(
             f"sites must lie in [1, {n_sites}], got m = {m}, n = {n}"
         )
-    if m + n == 2:
-        raise ConfigError("m + n = 2 puts the parabola's curvature at 1/0")
     base = float(base)
     if not math.isfinite(base) or base <= 0.0:
         raise ConfigError(f"base frequency must be > 0, got {base!r}")

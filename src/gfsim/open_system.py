@@ -27,16 +27,15 @@ oracle the tests tie it to.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ExcitationState, decompose, transfer_amplitude
+from .dynamics import ExcitationState, decompose
 from .errors import ConfigError, NumericalInvariantError
-from .model import HamiltonianMatrix, _is_integer, _readonly, build_hamiltonian
-from .protocol import TransferPlan, plan_config
+from .model import HamiltonianMatrix, _is_integer, _readonly
+from .protocol import TransferPlan, _arrival_amplitude
 
 __all__ = [
     "DensityMatrix",
@@ -344,10 +343,7 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
     n_samp = alpha.shape[0]
 
     t_star = plan.transfer_time
-    spec = decompose(build_hamiltonian(plan_config(plan)))
-    # the real-H amplitude times the factor e^{-i(n-m) eta*} of the bond phase
-    a = transfer_amplitude(plan.source, plan.target, spec, t_star) * cmath.exp(
-        -1j * (plan.target - plan.source) * plan.eta_star)
+    a = _arrival_amplitude(plan, t_star)
 
     # one (cells x samples) array; the per-cell damping factors come from
     # math as column vectors, so every element is the scalar formula's float

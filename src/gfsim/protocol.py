@@ -362,6 +362,15 @@ def _applied_phase(plan: TransferPlan, eta: float | None = None) -> float:
     return plan.eta_star if eta is None else wrap_phase(eta)
 
 
+def _arrival_amplitude(plan: TransferPlan, t, eta: float | None = None):
+    """<n|U(t)|m> with bond phase eta (default eta*): the real-H amplitude on
+    the plan's spectrum times the gauge factor e^{-i(n-m) eta}. Both qubit
+    scores (qubit_fidelity_curve, open_system) take their amplitude here."""
+    spec = decompose(build_hamiltonian(plan_config(plan)))
+    return transfer_amplitude(plan.source, plan.target, spec, t) * cmath.exp(
+        -1j * (plan.target - plan.source) * _applied_phase(plan, eta))
+
+
 def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
                          times, eta: float | None = None):
     """Transfer fidelity of alpha|vac> + beta|m> against alpha|vac> + beta|n>.
@@ -380,17 +389,12 @@ def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
             f"qubit amplitudes not normalized: |alpha|^2 + |beta|^2 = {norm!r}"
         )
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    delta = plan.target - plan.source
-    eta_used = _applied_phase(plan, eta)
-
-    spec = decompose(build_hamiltonian(plan_config(plan)))
-    amp = transfer_amplitude(plan.source, plan.target, spec, t_arr)
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
-    numeric = np.abs(a2 + b2 * (amp * cmath.exp(-1j * delta * eta_used))) ** 2
+    numeric = np.abs(a2 + b2 * _arrival_amplitude(plan, t_arr, eta)) ** 2
 
     # the doublet amplitude -i s e^{-i phi} sin(theta t), phi = lambda_mean t +
     # (n-m) eta, has real part -s sin(phi) sin(theta t): two real sines per time
-    phi = plan.lambda_mean * t_arr + delta * eta_used
+    phi = plan.lambda_mean * t_arr + (plan.target - plan.source) * _applied_phase(plan, eta)
     s_t = np.sin(plan.theta * t_arr)
     closed = (a2 * a2 + b2 * b2 * s_t * s_t
               - 2.0 * a2 * b2 * plan.plus_overlap_sign * np.sin(phi) * s_t)

@@ -308,6 +308,7 @@ def test_exit_codes(tmp_path, capsys):
     # NaN amplitudes have a NaN norm, which must fail the normalization check
     assert run_cli(["qubit", "--preset", "fig4", "--alpha", "nan", "--beta", "1",
                     "--times", "1,2"]) == 2
+    assert run_cli(["qubit", "--preset", "fig4", "--eta", "nan"]) == 2   # no phase
     assert run_cli(["resonant-walk", "--preset", "fig2"]) == 2        # wrong preset
     assert run_cli(["transfer", "--config", "/no/such/file.json"]) == 2
     assert run_cli(["spectrum"]) == 2                                 # nothing given

@@ -66,6 +66,12 @@ def test_state_validation():
         single_photon_state(4, 0)
     with pytest.raises(ConfigError):
         single_photon_state(4, 5)
+    spec = decompose(build_hamiltonian(ArrayConfig(4, np.ones(4), 0.1)))
+    with pytest.raises(ConfigError, match="time must be finite"):
+        evolve(s, spec, math.nan)
+    six = decompose(build_hamiltonian(ArrayConfig(6, np.ones(6), 0.1)))
+    with pytest.raises(ConfigError, match="5 sites but decomposition has 6"):
+        evolve(single_photon_state(5, 1), six, 1.0)
 
 
 def test_qubit_state_structure():
@@ -241,6 +247,8 @@ def test_transfer_probability_rejects_bad_sites():
         transfer_probability(0, 2, spec, 1.0)
     with pytest.raises(ConfigError):
         transfer_probability(1, 5, spec, 1.0)
+    with pytest.raises(ConfigError, match="times must be finite"):
+        transfer_amplitude(1, 3, spec, [0.0, math.inf])
     # one target or a 1-d sequence of sites in [1, N], nothing else
     for target in (0, 5, [1, 0], [2, 5], np.array([[1, 2], [3, 4]]), [1.0, 2.0]):
         with pytest.raises(ConfigError):

@@ -33,6 +33,10 @@ def test_wrap_phase_range_and_values():
         # same point on the circle
         assert abs(complex(math.cos(x), math.sin(x))
                    - complex(math.cos(w), math.sin(w))) < 1e-12
+    with pytest.raises(ConfigError):
+        wrap_phase(math.nan)
+    # just below -pi the modulo lands on +pi; the correction keeps [-pi, pi)
+    assert wrap_phase(math.nextafter(-math.pi, -math.inf)) == -math.pi
 
 
 def test_build_couplings_square_root_law():

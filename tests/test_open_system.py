@@ -18,7 +18,8 @@ from scipy.linalg import expm
 
 from gfsim.errors import ConfigError, NumericalInvariantError
 from gfsim.model import ArrayConfig, build_hamiltonian, switching_frequencies
-from gfsim.protocol import make_plan, plan_config
+from gfsim.protocol import DoubletPurityWarning, make_plan, plan_config, \
+    qubit_fidelity_curve
 from gfsim.dynamics import decompose, evolve, qubit_state, single_photon_state, \
     transfer_amplitude
 from gfsim.open_system import (
@@ -82,6 +83,8 @@ def test_density_matrix_validation():
     not_psd = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
     with pytest.raises(NumericalInvariantError):
         DensityMatrix(not_psd).validate("positivity check")
+    with pytest.raises(ConfigError, match="entries must be finite"):
+        DensityMatrix(np.array([[0.5, 0.0], [0.0, np.nan]]))
 
 
 def test_rhs_matches_dense_superoperator():
@@ -409,11 +412,18 @@ def test_purity_dips_then_recovers():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_integrator_flags_too_coarse_steps():
-    # a step so large the halving comparison cannot agree must refuse loudly
+    # one site, gamma = 0.5, one step of dt = 1: RK4 is stable there
+    # (R(-0.5) = 0.6068) and every checkpoint passes, but the dt/2 rerun
+    # differs by R(-0.5) - R(-0.25)^2 = 2.28e-4, so the halving check refuses
+    one_site = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
+    with pytest.raises(NumericalInvariantError, match="step-halving defect 2.280e-04"):
+        integrate_master(one_site, np.array([[1.0]]), 0.5, 1.0, 1.0)
+    # a step this coarse already drives a checkpoint's population negative,
+    # before the halving comparison is reached
     cfg = resonant_template(4, coupling=0.3)
     h = build_hamiltonian(cfg)
     rho0 = DensityMatrix.from_state(single_photon_state(4, 1))
-    with pytest.raises(NumericalInvariantError):
+    with pytest.raises(NumericalInvariantError, match="negative population"):
         integrate_master(rho0, h, 0.1, 40.0, 1.3)
     # outside RK4's stability region the modes overflow: still a numerical
     # refusal (exit 4), not a complaint about the input, and it names the
@@ -469,6 +479,12 @@ def test_integrator_input_validation():
     dense = np.full((3, 3), 0.2, dtype=complex) + np.diag([1.0, 1.1, 1.2])
     with pytest.raises(ConfigError):
         integrate_master(rho0, dense, 0.1, 1.0, 1e-3)
+    # t_end = 0 takes no step and returns the initial state as it is
+    run = integrate_master(rho0, h, 0.1, 0.0, 1e-3)
+    assert np.array_equal(run.final.matrix, rho0.matrix)
+    assert run.n_steps == 0
+    assert run.times.tolist() == [0.0]
+    assert run.states.shape == (1, 4, 4)
 
 
 def test_state_fidelity_basics():
@@ -580,6 +596,11 @@ class TestAveragedFidelityStudy:
         with pytest.raises(ConfigError):
             average_transfer_fidelity(plan_13, np.array([1e-3]),
                                       *sample_qubit_states(0, 1))
+        for grid in (np.array([[1e-3, 1.0]]), np.array([])):
+            with pytest.raises(ConfigError, match="non-empty 1-d grid"):
+                average_transfer_fidelity(plan_13, grid, *reference_qubit_states())
+        with pytest.raises(ConfigError, match="equal length"):
+            average_transfer_fidelity(plan_13, np.array([1e-3]), [0.6, 0.8], [0.8])
         for samples in (True, 2.0):
             with pytest.raises(ConfigError, match="must be an integer"):
                 sample_qubit_states(samples, 1)
@@ -628,6 +649,22 @@ def test_broadcast_scoring_equals_per_cell_formula(plan_13, ensemble):
     assert np.array_equal(curve.stderr, errs)
     if len(alpha) == 1:
         assert not np.any(curve.stderr)
+
+
+@pytest.mark.parametrize("pair", [(1, 3), (2, 4), (1, 4), (2, 5), (1, 5), (3, 5)])
+def test_lossless_cell_equals_qubit_curve_at_transfer_time(pair):
+    # the library's two qubit scores of one plan: a gamma = 0 cell of the loss
+    # study and the closed-system curve at t* score the same state, to
+    # rounding (4 eps measured over these 202 states on every pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DoubletPurityWarning)
+        plan = make_plan(resonant_template(), *pair)
+    alphas, betas = (np.concatenate(parts) for parts in
+                     zip(sample_qubit_states(198, 7), reference_qubit_states()))
+    for alpha, beta in zip(alphas, betas):
+        cell = average_transfer_fidelity(plan, [0.0], [alpha], [beta]).mean_fidelity[0]
+        (at_star,), _ = qubit_fidelity_curve(plan, alpha, beta, plan.transfer_time)
+        assert abs(cell - at_star) <= 8.0 * np.finfo(float).eps
 
 
 def test_exact_loss_path_matches_integrator_oracle():

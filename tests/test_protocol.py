@@ -321,6 +321,13 @@ def test_plan_from_dict_rejects_corruption(plan_24):
         ("predicted_peak", "nan", "predicted_peak"),
         ("frequencies", ["1.0"] + list(plan_24.frequencies[1:]), "frequencies"),
         ("frequencies", [[1.0, 2.0], 1.0, 1.0, 1.0, 1.0, 1.0], "frequencies"),
+        # the range checks (the named texts are regular expressions)
+        ("source", 7, "sites"),                           # beyond N = 6
+        ("target", 2, "sites"),                           # equals the source
+        ("coupling_scale", -0.0013, "must be > 0"),
+        ("doublet_purity", 1.5, r"must lie in \[0, 1\]"),
+        ("plus_overlap_sign", 0, r"\+1 or -1"),
+        ("lambda_plus", plan_24.lambda_minus, "theta must be > 0"),
     ]
     for key, value, named in corruptions:
         data = plan_24.to_dict()

@@ -115,3 +115,20 @@ def test_module_table_names_resolve():
             assert hasattr(gfsim, name) or hasattr(mod, name), (module.strip(), name)
         rows += 1
     assert rows == 7
+
+
+def test_each_layer_declares_its_public_names_once():
+    # a layer's __all__ is exactly its own public functions and classes, and
+    # gfsim re-exports every one of them, so no name list can drift
+    import importlib
+    import inspect
+
+    import gfsim
+
+    for layer in ("errors", "model", "dynamics", "analytics", "protocol", "open_system"):
+        mod = importlib.import_module(f"gfsim.{layer}")
+        public = {name for name, obj in vars(mod).items()
+                  if (inspect.isfunction(obj) or inspect.isclass(obj))
+                  and obj.__module__ == mod.__name__ and not name.startswith("_")}
+        assert sorted(mod.__all__) == sorted(public), layer
+        assert all(hasattr(gfsim, name) for name in mod.__all__), layer
