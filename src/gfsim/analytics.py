@@ -9,7 +9,7 @@ while the boundary site is essentially unpopulated; the deviation is
 measured, not assumed away.
 
 Everything is computed in log-magnitude + phase form, so the expressions
-stay finite for any (Jt)^2, far past the naive factorial overflow.
+stay finite for every finite (Jt)^2, far past the naive factorial overflow.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import _is_integer
+from .model import _is_integer, _readonly
 
 __all__ = [
     "TruncatedCoherentProfile",
@@ -29,20 +29,12 @@ __all__ = [
 ]
 
 
-def _validate_nx(n: int, x: float) -> tuple[int, float]:
-    if not _is_integer(n) or n < 1:
-        raise ConfigError(f"term count must be an integer >= 1, got {n!r}")
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ConfigError(f"x must be finite and >= 0, got {x!r}")
-    return int(n), x
-
-
 def _log_tail(n: int, x: float) -> tuple[np.ndarray, float]:
-    """(rel, log Q(n, x)) for x > 0, summed in log space: rel[j] is the
-    Poisson term e^{-x} x^j / j! (j < n) over the largest such term."""
+    """(rel, log S) for x > 0, S = sum_{j<n} x^j / j! summed in log space:
+    rel[j] is the term x^j / j! over the largest one. Q(n, x) = e^{-x} S;
+    e^{-x} cancels from rel, and added there it swamps j log x at x ~ 1e16."""
     j = np.arange(n, dtype=float)
-    logs = -x + j * math.log(x) - np.array([math.lgamma(k + 1.0) for k in j])
+    logs = j * math.log(x) - np.array([math.lgamma(k + 1.0) for k in j])
     peak = float(np.max(logs))
     rel = np.exp(logs - peak)
     return rel, peak + math.log(float(np.sum(rel)))
@@ -56,10 +48,14 @@ def regularized_upper_tail(n: int, x: float) -> float:
     where e^{-x} underflows; no general-purpose special-function routine is
     involved (those serve as the independent oracle in the tests).
     """
-    n, x = _validate_nx(n, x)
+    if not _is_integer(n) or n < 1:
+        raise ConfigError(f"term count must be an integer >= 1, got {n!r}")
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0:
+        raise ConfigError(f"x must be finite and >= 0, got {x!r}")
     if x == 0.0:
         return 1.0
-    return min(math.exp(_log_tail(n, x)[1]), 1.0)
+    return min(math.exp(_log_tail(int(n), x)[1] - x), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +72,8 @@ class TruncatedCoherentProfile:
     normalization: float
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes",
+                           _readonly(np.asarray(self.amplitudes, dtype=complex)))
 
 
 def truncated_coherent_amplitudes(coupling: float, t: float, n_sites: int) -> TruncatedCoherentProfile:
@@ -87,7 +82,7 @@ def truncated_coherent_amplitudes(coupling: float, t: float, n_sites: int) -> Tr
     Valid for a resonant array in the frame rotating at the common
     resonance; site k carries phase (-i)^(k-1) and weight given by a
     Poisson distribution in k-1 conditioned on k <= N, with x = (J t)^2.
-    The profile is exactly normalized by construction.
+    Exactly normalized by construction; a (J t)^2 past float range is refused.
     """
     coupling = float(coupling)
     if not math.isfinite(coupling) or coupling <= 0.0:
@@ -99,15 +94,20 @@ def truncated_coherent_amplitudes(coupling: float, t: float, n_sites: int) -> Tr
         raise ConfigError(f"n_sites must be an integer >= 1, got {n_sites!r}")
     n = int(n_sites)
 
-    x = (coupling * t) ** 2
+    try:
+        x = (coupling * t) ** 2
+    except OverflowError:  # a finite J t whose square is past float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"(J t)^2 = ({coupling!r} * {t!r})^2 is beyond float range")
     phase = (-1j) ** np.arange(n)
     if x == 0.0:
         amps = np.zeros(n, dtype=complex)
         amps[0] = 1.0
         return TruncatedCoherentProfile(0.0, amps, 1.0)
 
-    rel, log_tail = _log_tail(n, x)
+    rel, log_sum = _log_tail(n, x)
     weights = rel / float(np.sum(rel))  # conditioned Poisson, sums to 1 exactly
     amps = phase * np.sqrt(weights)
-    normalization = math.exp(-0.5 * x - 0.5 * log_tail)
+    normalization = math.exp(-0.5 * log_sum)  # e^{-x/2} / sqrt(Q), e^{-x} cancelled
     return TruncatedCoherentProfile(x, amps, normalization)

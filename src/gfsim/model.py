@@ -35,7 +35,6 @@ __all__ = [
     "build_hamiltonian",
     "switching_frequencies",
     "config_and_pair",
-    "config_from_dict",
     "config_to_dict",
     "wrap_phase",
 ]
@@ -317,11 +316,6 @@ def config_and_pair(data: Mapping) -> tuple[ArrayConfig, tuple[int, int] | None]
         frequencies=np.asarray(frequencies, dtype=float),
         coupling_scale=float(_require_number(data, "J")),
     ), pair
-
-
-def config_from_dict(data: Mapping) -> ArrayConfig:
-    """config_and_pair's ArrayConfig alone."""
-    return config_and_pair(data)[0]
 
 
 def config_to_dict(config: ArrayConfig) -> dict:

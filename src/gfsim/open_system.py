@@ -35,7 +35,7 @@ import numpy as np
 from .dynamics import ExcitationState, decompose
 from .errors import ConfigError, NumericalInvariantError
 from .model import HamiltonianMatrix, _is_integer, _readonly
-from .protocol import TransferPlan, _arrival_amplitude
+from .protocol import TransferPlan, _arrival_amplitude, _register_fidelity
 
 __all__ = [
     "DensityMatrix",
@@ -135,11 +135,11 @@ def _check_states(stack: np.ndarray, where) -> None:
 def _rk4_powers(z: np.ndarray, steps: np.ndarray,
                 which: np.ndarray) -> np.ndarray:
     """Row i is R(z[which[i]])^steps[i], where R(z) = 1 + z + z^2/2 + z^3/6
-    + z^4/24 is one classical RK4 step of x' = mu x with z = dt*mu. It is
-    exp(steps[i] * log R): one log per step size and mode, however many
-    rows share it."""
+    + z^4/24 is one classical RK4 step of x' = mu x with z = dt*mu, one row
+    of z per step size and one column per mode. It is exp(steps[i] * log R):
+    one log per step size and mode, however many rows share it."""
     log_r = np.log(1.0 + z + z * z / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0)
-    return np.exp(steps.reshape((-1,) + (1,) * (z.ndim - 1)) * log_r[which])
+    return np.exp(steps[:, None] * log_r[which])
 
 
 def _rk4_stack(h: HamiltonianMatrix, gamma: float, rho: np.ndarray,
@@ -161,8 +161,10 @@ def _rk4_stack(h: HamiltonianMatrix, gamma: float, rho: np.ndarray,
     spec = decompose(h)
     lam, vec = spec.eigenvalues, spec.eigenvectors
     vec_h = vec.T
-    mu_ss = -1j * (lam[:, None] - lam[None, :]) - gamma
-    mu_v = 1j * lam - 0.5 * gamma
+    n = lam.size
+    # one rate per mode: the N^2 site-block entries (j, k), then the N
+    # vacuum-site components k
+    mu = np.append(-1j * (lam[:, None] - lam[None, :]) - gamma, 1j * lam - 0.5 * gamma)
     # row i takes steps[i] steps of size sizes[which[i]]
     sizes = np.array([dt, dt / 2.0])
     steps = np.append(counts, 2.0 * counts[-1])
@@ -171,8 +173,8 @@ def _rk4_stack(h: HamiltonianMatrix, gamma: float, rho: np.ndarray,
     # the modal powers come before any complex matmul: straight after one,
     # complex log and exp (as inside a complex power) ran ~5x slower on
     # AVX-512 hardware
-    f_ss = _rk4_powers(sizes[:, None, None] * mu_ss, steps, which)
-    f_v = _rk4_powers(sizes[:, None] * mu_v, steps, which)
+    f = _rk4_powers(sizes[:, None] * mu, steps, which)
+    f_ss, f_v = f[:, :-n].reshape(-1, n, n), f[:, -n:]
     ss = vec @ ((vec_h @ rho[1:, 1:] @ vec) * f_ss) @ vec_h
     v = ((rho[0, 1:] @ vec) * f_v) @ vec_h
     out = np.empty((steps.shape[0],) + rho.shape, dtype=complex)
@@ -320,10 +322,10 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
     site block is e^{-gamma t} U|m><m|U^dag, the vacuum-site coherence is
     damped by e^{-gamma t/2}, and the vacuum holds the lost 1 - e^{-gamma t},
     with U = e^{-iHt} from decompose. With a = <n|U(t*)|m> a sample scores
-        |alpha|^2 rho00 + 2|alpha|^2|beta|^2 e^{-gamma t*/2} Re a
-        + |beta|^4 e^{-gamma t*} |a|^2,  rho00 = |alpha|^2 + |beta|^2 (1 - e^{-gamma t*}),
-    so no step size or horizon enters. integrate_master is the independent
-    oracle the tests hold this against.
+        |a2 + b2 e^{-gamma t*/2} a|^2 - a2 b2 expm1(-gamma t*)
+    (a2 = |alpha|^2, b2 = |beta|^2; protocol._register_fidelity), so no step
+    size or horizon enters. integrate_master is the independent oracle the
+    tests hold this against.
 
     Returns the per-cell mean and standard error of the sample mean.
     """
@@ -336,8 +338,7 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
     beta = np.asarray(beta, dtype=complex).ravel()
     if alpha.shape != beta.shape or alpha.size == 0:
         raise ConfigError("alpha and beta must be non-empty and of equal length")
-    a2 = np.abs(alpha) ** 2
-    b2 = np.abs(beta) ** 2
+    a2, b2 = np.abs(alpha) ** 2, np.abs(beta) ** 2
     if not np.max(np.abs(a2 + b2 - 1.0)) <= 1e-10:
         raise ConfigError("states must be normalized qubit amplitudes")
     n_samp = alpha.shape[0]
@@ -348,13 +349,9 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
     # one (cells x samples) array; the per-cell damping factors come from
     # math as column vectors, so every element is the scalar formula's float
     gamma_t = [g * plan.coupling_scale * t_star for g in gammas.tolist()]
-    lost = np.array([[math.expm1(-x)] for x in gamma_t])
     half = np.array([[math.exp(-0.5 * x)] for x in gamma_t])
-    full = np.array([[math.exp(-x)] for x in gamma_t])
-    rho00 = a2 - b2 * lost
-    fids = (a2 * rho00
-            + 2.0 * a2 * b2 * half * a.real
-            + b2 * b2 * full * abs(a) ** 2)
+    lost = np.array([[math.expm1(-x)] for x in gamma_t])
+    fids = _register_fidelity(a2, b2, a, half, lost)
     means = np.mean(fids, axis=1)
     errs = np.zeros(len(gamma_t)) if n_samp < 2 \
         else np.std(fids, axis=1, ddof=1) / math.sqrt(n_samp)

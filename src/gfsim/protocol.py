@@ -371,6 +371,14 @@ def _arrival_amplitude(plan: TransferPlan, t, eta: float | None = None):
         -1j * (plan.target - plan.source) * _applied_phase(plan, eta))
 
 
+def _register_fidelity(a2, b2, a, damping=1.0, lost=0.0):
+    """|a2 + b2 damping a|^2 - a2 b2 lost: the fidelity of alpha|vac> + beta|m>
+    (a2 = |alpha|^2, b2 = |beta|^2) sent with amplitude a = <n|U|m>, against
+    alpha|vac> + beta|n>. Uniform loss gamma over t gives damping =
+    e^{-gamma t/2} and lost = expm1(-gamma t); the defaults are no loss."""
+    return np.abs(a2 + b2 * damping * a) ** 2 - a2 * b2 * lost
+
+
 def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
                          times, eta: float | None = None):
     """Transfer fidelity of alpha|vac> + beta|m> against alpha|vac> + beta|n>.
@@ -390,7 +398,7 @@ def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
         )
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
     a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
-    numeric = np.abs(a2 + b2 * _arrival_amplitude(plan, t_arr, eta)) ** 2
+    numeric = _register_fidelity(a2, b2, _arrival_amplitude(plan, t_arr, eta))
 
     # the doublet amplitude -i s e^{-i phi} sin(theta t), phi = lambda_mean t +
     # (n-m) eta, has real part -s sin(phi) sin(theta t): two real sines per time

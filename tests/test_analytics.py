@@ -132,6 +132,18 @@ def test_profile_truncation_weight_consistency():
         math.exp(-x) / tail, rel=1e-12)
 
 
+@pytest.mark.parametrize("jt", [1e9, 1e10])
+def test_profile_far_past_the_boundary(jt):
+    # x = (J t)^2 >= 1e18: the Poisson weights x^j / j! grow with j, so all
+    # but ~(N - 1) / x of the weight sits on site N, and the normalization is
+    # 1 / sqrt(sum_{j<N} x^j / j!) ~ sqrt((N - 1)!) / (J t)^(N - 1)
+    size = 10
+    profile = truncated_coherent_amplitudes(1.0, jt, size)
+    assert abs(profile.amplitudes[-1]) ** 2 >= 1.0 - 1e-15
+    assert profile.normalization == pytest.approx(
+        math.sqrt(math.factorial(size - 1)) / jt ** (size - 1), rel=1e-12)
+
+
 def test_profile_rejections():
     with pytest.raises(ConfigError):
         truncated_coherent_amplitudes(0.0, 1.0, 5)
@@ -142,3 +154,7 @@ def test_profile_rejections():
     for n_sites in (True, 5.0):
         with pytest.raises(ConfigError, match="must be an integer"):
             truncated_coherent_amplitudes(0.05, 1.0, n_sites)
+    # finite J and t whose (J t)^2 is not a finite float
+    for coupling, t in ((0.05, 1e200), (1e300, 1e300)):
+        with pytest.raises(ConfigError, match="beyond float range"):
+            truncated_coherent_amplitudes(coupling, t, 10)

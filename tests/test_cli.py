@@ -12,7 +12,7 @@ import pytest
 
 import gfsim
 from gfsim.cli import build_parser, main, write_table
-from gfsim.model import config_from_dict, wrap_phase
+from gfsim.model import config_and_pair, wrap_phase
 from gfsim.protocol import make_plan
 
 from conftest import read_csv_output
@@ -29,7 +29,7 @@ def test_fig1_preset_csv(tmp_path, capsys):
     assert meta["command"] == "resonant-walk"
     assert meta["preset"] == "fig1"
     # resolved config must reload cleanly
-    cfg = config_from_dict(meta["config"])
+    cfg = config_and_pair(meta["config"])[0]
     assert cfg.n_sites == 10 and cfg.coupling_scale == 0.05
     assert columns[0] == "omega1_t"
     assert [r[0] for r in rows] == [0.0, 30.0, 40.0, 84.0]
@@ -110,7 +110,7 @@ def test_plan_csv_parses_with_csv_reader(capsys):
     header, *body = capsys.readouterr().out.splitlines()
     rows = list(csv.reader(body))
     assert rows[0] == ["field", "value"]
-    expected = make_plan(config_from_dict(json.loads(header[2:])["config"]),
+    expected = make_plan(config_and_pair(json.loads(header[2:])["config"])[0],
                          2, 4).to_dict()
     assert [field for field, *_ in rows[1:]] == sorted(expected)
     for row in rows[1:]:
@@ -373,6 +373,24 @@ def test_exit_codes(tmp_path, capsys):
                      ["transfer", "-m", "1", "-n", "3", "--times", "0,5"]):
             assert run_cli(argv + ["--config", str(cfg)]) == 2, (name, argv)
             assert "omega_1 * t" in capsys.readouterr().err
+
+
+def test_refusals_print_one_line(tmp_path, capsys):
+    # main turns a library refusal into its exit code and one stderr line,
+    # with no traceback: a spectrum that overflows float64 fails the
+    # eigendecomposition's residual check (4), and a (J t)^2 beyond float
+    # range is a config error (2)
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps({"n_sites": 3, "frequencies": [1e308] * 3,
+                                    "J": 1e308}))
+    for argv, code, prefix in (
+            (["spectrum", "--config", str(overflow)], 4, "numerical invariant violated:"),
+            (["resonant-walk", "--preset", "fig1", "--times", "0,1e200"], 2,
+             "error: (J t)^2")):
+        assert run_cli(argv) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and len(err.splitlines()) == 1, err
+        assert "Traceback" not in err
 
 
 def test_detuned_array_refuses_resonant_closed_form(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gfsim.cli import main as cli_main
 from gfsim.errors import ConfigError, NumericalInvariantError
-from gfsim.model import ArrayConfig, build_hamiltonian, config_from_dict, \
+from gfsim.model import ArrayConfig, build_hamiltonian, config_and_pair, \
     switching_frequencies
 from gfsim.dynamics import (
     ExcitationState,
@@ -435,7 +435,7 @@ def test_resonant_walk_columns_match_brute_force(tmp_path):
     assert cli_main(["resonant-walk", "--preset", "fig1", "--grid", "0:84:401",
                      "--out", str(out)]) == 0
     meta, columns, rows = read_csv_output(out)
-    cfg = config_from_dict(meta["config"])
+    cfg = config_and_pair(meta["config"])[0]
     n = cfg.n_sites
     h = build_hamiltonian(cfg)
     rows = np.array(rows)

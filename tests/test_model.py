@@ -14,7 +14,6 @@ from gfsim.model import (
     build_couplings,
     build_hamiltonian,
     config_and_pair,
-    config_from_dict,
     config_to_dict,
     switching_frequencies,
     wrap_phase,
@@ -60,7 +59,7 @@ def test_array_config_validation():
         ArrayConfig(4, np.array([1.0, 2.0, np.nan, 4.0]), 0.1)
     with pytest.raises(ConfigError):
         ArrayConfig(4, np.ones(4), 0.0)                    # J must be > 0
-    # values config_from_dict and TransferPlan refuse, and a ragged vector
+    # values config_and_pair and TransferPlan refuse, and a ragged vector
     # (numpy's own ValueError before): every one is a ConfigError naming its field
     for kwargs, named in ((dict(frequencies=[[1.0, 2.0], 1.0]), "frequencies"),
                           (dict(frequencies=["1.0", "2"]), "frequencies"),
@@ -247,72 +246,72 @@ def test_switching_profile_rejections():
 
 
 def test_config_from_dict_explicit_and_presets():
-    cfg = config_from_dict({"n_sites": 3, "frequencies": [1.0, 2.0, 3.0],
-                            "J": 0.5})
+    cfg = config_and_pair({"n_sites": 3, "frequencies": [1.0, 2.0, 3.0],
+                           "J": 0.5})[0]
     np.testing.assert_array_equal(cfg.frequencies, [1.0, 2.0, 3.0])
 
-    res = config_from_dict({"n_sites": 4,
-                            "frequencies": {"preset": "resonant", "C": 2.0},
-                            "J": 0.1})
+    res = config_and_pair({"n_sites": 4,
+                           "frequencies": {"preset": "resonant", "C": 2.0},
+                           "J": 0.1})[0]
     np.testing.assert_allclose(res.frequencies, 2.0)
 
-    sw = config_from_dict({"n_sites": 6,
-                           "frequencies": {"preset": "switching", "C": 1.0,
-                                           "m": 1, "n": 3},
-                           "J": 0.0013})
+    sw = config_and_pair({"n_sites": 6,
+                          "frequencies": {"preset": "switching", "C": 1.0,
+                                          "m": 1, "n": 3},
+                          "J": 0.0013})[0]
     np.testing.assert_allclose(sw.frequencies, [1.0, 1.5, 1.0, -0.5, -3.0, -6.5])
 
 
 def test_config_from_dict_default_base():
-    cfg = config_from_dict({"n_sites": 3,
-                            "frequencies": {"preset": "resonant"}, "J": 0.1})
+    cfg = config_and_pair({"n_sites": 3,
+                           "frequencies": {"preset": "resonant"}, "J": 0.1})[0]
     np.testing.assert_allclose(cfg.frequencies, 1.0)
 
 
 def test_config_from_dict_rejections():
     with pytest.raises(ConfigError):
-        config_from_dict({"n_sites": 3, "frequencies": [1, 1, 1]})  # missing J
+        config_and_pair({"n_sites": 3, "frequencies": [1, 1, 1]})  # missing J
     with pytest.raises(ConfigError):
-        config_from_dict({"n_sites": 3, "frequencies": [1, 1, 1], "J": 0.1,
-                          "bogus": 1})
+        config_and_pair({"n_sites": 3, "frequencies": [1, 1, 1], "J": 0.1,
+                         "bogus": 1})
     with pytest.raises(ConfigError):
-        config_from_dict({"n_sites": 3,
-                          "frequencies": {"preset": "unknown"}, "J": 0.1})
+        config_and_pair({"n_sites": 3,
+                         "frequencies": {"preset": "unknown"}, "J": 0.1})
     with pytest.raises(ConfigError):
-        config_from_dict({"n_sites": 3,
-                          "frequencies": {"preset": "switching", "m": 1},
-                          "J": 0.1})  # switching needs both m and n
+        config_and_pair({"n_sites": 3,
+                         "frequencies": {"preset": "switching", "m": 1},
+                         "J": 0.1})  # switching needs both m and n
     with pytest.raises(ConfigError):
-        config_from_dict({"n_sites": 3,
-                          "frequencies": {"preset": "resonant", "m": 1, "n": 2},
-                          "J": 0.1})  # resonant takes no pair
+        config_and_pair({"n_sites": 3,
+                         "frequencies": {"preset": "resonant", "m": 1, "n": 2},
+                         "J": 0.1})  # resonant takes no pair
     with pytest.raises(ConfigError):
-        config_from_dict({"n_sites": 1, "frequencies": [1.0], "J": 0.1})
+        config_and_pair({"n_sites": 1, "frequencies": [1.0], "J": 0.1})
     # a scalar field is a finite JSON number: not true, a string, Infinity
     # or an int no float holds
     for value in (True, "0.1", math.inf, math.nan, 10 ** 400):
         with pytest.raises(ConfigError, match="'J' must be a finite number"):
-            config_from_dict({"n_sites": 3, "frequencies": [1, 1, 1], "J": value})
+            config_and_pair({"n_sites": 3, "frequencies": [1, 1, 1], "J": value})
         with pytest.raises(ConfigError, match="'frequencies' must list finite numbers"):
-            config_from_dict({"n_sites": 3, "frequencies": [1, value, 1], "J": 0.1})
+            config_and_pair({"n_sites": 3, "frequencies": [1, value, 1], "J": 0.1})
     # no model reads a loss rate from the array config; loss enters as the
     # explicit gamma of the open-system calls
     with pytest.raises(ConfigError, match="gamma"):
-        config_from_dict({"n_sites": 3, "frequencies": [1, 1, 1], "J": 0.1,
-                          "gamma": 0.5})
+        config_and_pair({"n_sites": 3, "frequencies": [1, 1, 1], "J": 0.1,
+                         "gamma": 0.5})
     # nor a bond phase: populations do not depend on it, and the qubit
     # transfer takes eta* from its plan
     with pytest.raises(ConfigError, match="'eta'"):
-        config_from_dict({"n_sites": 3, "frequencies": [1, 1, 1], "J": 0.1,
-                          "eta": 0.0})
+        config_and_pair({"n_sites": 3, "frequencies": [1, 1, 1], "J": 0.1,
+                         "eta": 0.0})
 
 
 def test_config_roundtrip():
-    cfg = config_from_dict({"n_sites": 6,
-                            "frequencies": {"preset": "switching", "C": 1.0,
-                                            "m": 2, "n": 4},
-                            "J": 0.0013})
-    again = config_from_dict(config_to_dict(cfg))
+    cfg = config_and_pair({"n_sites": 6,
+                           "frequencies": {"preset": "switching", "C": 1.0,
+                                           "m": 2, "n": 4},
+                           "J": 0.0013})[0]
+    again = config_and_pair(config_to_dict(cfg))[0]
     np.testing.assert_allclose(again.frequencies, cfg.frequencies, rtol=1e-15)
     assert again.coupling_scale == cfg.coupling_scale
 
@@ -327,7 +326,7 @@ def test_config_and_pair_names_only_a_switching_pair():
         data = {"n_sites": 6, "frequencies": spec, "J": 0.0013}
         cfg, got = config_and_pair(data)
         assert got == pair
-        assert cfg.frequencies.tobytes() == config_from_dict(data).frequencies.tobytes()
+        assert cfg.frequencies.tobytes() == config_and_pair(data)[0].frequencies.tobytes()
     cfg, _ = config_and_pair({"n_sites": 6, "J": 0.0013,
                               "frequencies": {"preset": "switching", "m": 2, "n": 4}})
     np.testing.assert_array_equal(cfg.frequencies, switching_frequencies(1.0, 2, 4, 6))

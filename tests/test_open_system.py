@@ -487,6 +487,23 @@ def test_integrator_input_validation():
     assert run.states.shape == (1, 4, 4)
 
 
+@pytest.mark.parametrize("diagonal", [
+    [0.0, 1.0, 1.0, 0.0],         # trace 2
+    [0.0, 1.5, -0.5, 0.0],        # smallest eigenvalue -0.5
+    [0.0, 1e307, -1e307, 1.0],    # entries of +-1e307
+], ids=["trace2", "negative", "huge"])
+@pytest.mark.parametrize("t_end", [1.0, 0.0])
+def test_integrator_refuses_an_invalid_initial_state(diagonal, t_end):
+    # the initial state is checked before any step, so the run refuses it
+    # whether or not it steps, and without a floating-point warning
+    h = build_hamiltonian(resonant_template(3))
+    rho0 = DensityMatrix(np.diag(np.array(diagonal, dtype=complex)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalInvariantError, match="in initial state$"):
+            integrate_master(rho0, h, 0.1, t_end, 1e-2)
+
+
 def test_state_fidelity_basics():
     psi = qubit_state(3, 2, 0.6, 0.8)
     rho = DensityMatrix.from_state(psi)
@@ -624,10 +641,8 @@ def per_cell_scores(plan, gammas, alpha, beta):
     means, errs = [], []
     for g_over_j in gammas.tolist():
         gamma_t = g_over_j * plan.coupling_scale * t_star
-        rho00 = a2 - b2 * math.expm1(-gamma_t)
-        fids = (a2 * rho00
-                + 2.0 * a2 * b2 * math.exp(-0.5 * gamma_t) * a.real
-                + b2 * b2 * math.exp(-gamma_t) * abs(a) ** 2)
+        fids = (np.abs(a2 + b2 * math.exp(-0.5 * gamma_t) * a) ** 2
+                - a2 * b2 * math.expm1(-gamma_t))
         means.append(float(np.mean(fids)))
         errs.append(0.0 if n_samp < 2
                     else float(np.std(fids, ddof=1) / math.sqrt(n_samp)))

@@ -86,7 +86,7 @@ def test_command_flag_table_matches_parser():
 
 
 def test_config_key_table_matches_schema():
-    # the "| key | value |" table lists exactly the keys config_from_dict
+    # the "| key | value |" table lists exactly the keys config_and_pair
     # accepts, so a schema change cannot leave the README behind
     table = re.search(r"\| key +\| value \|\n\|[-|]+\|\n((?:\|.*\n)+)",
                       README.read_text())
