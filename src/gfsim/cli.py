@@ -1,5 +1,5 @@
 """Command-line front end: binds configs to experiments, emits figure-ready
-tables (CSV or JSON) with a full provenance header.
+tables (CSV or JSON) and plan documents (JSON) with a full provenance header.
 
 Commands: spectrum, resonant-walk, plan, transfer, qubit, dissipation. One
 table, _COMMANDS, gives each its handler, help and flags. Presets give their
@@ -167,32 +167,25 @@ def _json_document(payload: dict) -> str:
     return _dumps(payload, indent=2) + "\n"
 
 
-def _csv_text(cell: str) -> str:
-    """A text cell as csv.writer's minimal quoting writes it: quoted, with
-    inner quotes doubled, when it holds a comma, a quote or a line break."""
-    if any(ch in cell for ch in ',"\r\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
 def write_table(path: str | None, fmt: str, metadata: dict, columns: dict) -> None:
     """Emit a table given column-major: `columns` maps each name to a 1-d
     array or list, all of one length.
 
     Cells are the Python values of the columns: CSV writes str(cell), the
-    shortest round-trip text, so integer columns stay integers. A numeric
-    column is formatted by one repr of its list, split at ", ": each item of
+    shortest round-trip text, so integer columns stay integers. A column is
+    formatted by one repr of its list, split at ", ": each item of
     repr(list) is repr(cell), which equals str(cell) for every int and float
-    (nan and inf included). Numbers hold no comma; text cells are quoted as
-    csv.writer quotes them, so any CSV reader gets one field per column.
+    (nan and inf included). Every cell is a number, so none holds a comma
+    and no CSV cell is quoted; a column of any other kind is refused.
     """
     arrays = [np.asarray(c) for c in columns.values()]
+    for name, a in zip(columns, arrays):
+        if a.dtype.kind not in "iuf":
+            raise ConfigError(f"table column {name!r} is not numeric ({a.dtype})")
     cells = [a.tolist() for a in arrays]
     if fmt == "csv":
-        texts = [list(map(_csv_text, col)) if a.dtype.kind == "U"
-                 else repr(col)[1:-1].split(", ") if col else []
-                 for a, col in zip(arrays, cells)]
-        lines = ["# " + _dumps(metadata), ",".join(map(_csv_text, columns))]
+        texts = [repr(col)[1:-1].split(", ") if col else [] for col in cells]
+        lines = ["# " + _dumps(metadata), ",".join(columns)]
         lines += map(",".join, zip(*texts))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
@@ -255,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--preset", choices=sorted(_PRESETS),
                          help="named parameter preset")
         cmd.add_argument("--out", help="output path (default: stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
+        # a plan is one JSON document; every other command writes a table
+        formats = ("json",) if name == "plan" else ("csv", "json")
+        cmd.add_argument("--format", choices=formats, default=formats[0])
         for flag in flags:
             names, options = _FLAGS[flag]
             cmd.add_argument(*names, **options)
@@ -412,13 +407,15 @@ def cmd_resonant_walk(exp: ResolvedExperiment) -> int:
     times = _grid(exp)
     n = cfg.n_sites
     t = times / base
+    # the closed form first: a (J t)^2 beyond float range is a config error
+    # (exit 2), whichever verdict the spectral phases would get (exit 4)
+    profiles = np.array([truncated_coherent_amplitudes(cfg.coupling_scale, ti, n).amplitudes
+                         for ti in t.tolist()])
+    closed = np.abs(profiles) ** 2
     spec = decompose(build_hamiltonian(cfg))
     # every site at every time in one call: amps[i, k - 1] = <k|e^{-iHt_i}|1>
     amps = transfer_amplitude(1, range(1, n + 1), spec, t)
     probs = np.abs(amps) ** 2
-    profiles = np.array([truncated_coherent_amplitudes(cfg.coupling_scale, ti, n).amplitudes
-                         for ti in t.tolist()])
-    closed = np.abs(profiles) ** 2
     # the closed form lives in the frame rotating at the resonance
     rotated = amps * np.exp(1j * base * t)[:, None]
     deviation = np.max(np.abs(rotated - profiles), axis=1)
@@ -440,13 +437,7 @@ def cmd_plan(exp: ResolvedExperiment) -> int:
     m, n = _require_pair(exp)
     meta = _base_metadata(exp)
     plan = _capture_plan(exp.config, m, n, meta)
-    fields = plan.to_dict()
-    if exp.args.format == "json":
-        _emit(exp.args.out, _json_document({"metadata": meta, "plan": fields}))
-    else:
-        keys = sorted(fields)
-        write_table(exp.args.out, "csv", meta, {
-            "field": keys, "value": [_dumps(fields[k]) for k in keys]})
+    _emit(exp.args.out, _json_document({"metadata": meta, "plan": plan.to_dict()}))
     return 0
 
 
@@ -455,8 +446,8 @@ def cmd_transfer(exp: ResolvedExperiment) -> int:
     m, n = _require_pair(exp)
     meta = _base_metadata(exp)
     # a switching config is the plan's own profile, so the plan only gives
-    # the default grid, the metadata and the sidecar; any other config runs
-    # as given, on the grid it must be given
+    # the default grid and the metadata; any other config runs as given, on
+    # the grid it must be given
     plan, times_wt = _planned_sweep(exp, meta) if exp.planned else (None, _grid(exp))
     spec = decompose(build_hamiltonian(exp.config))
     probs = transfer_probability(m, n, spec, times_wt / base)
@@ -472,8 +463,6 @@ def cmd_transfer(exp: ResolvedExperiment) -> int:
         meta["peak_time_relative_offset"] = float(rel)
     write_table(exp.args.out, exp.args.format, meta,
                 {"omega1_t": times_wt, "p_transfer": probs})
-    if plan is not None and exp.args.out is not None:
-        _emit(exp.args.out + ".plan.json", _json_document({"plan": plan.to_dict()}))
     return 0
 
 

@@ -157,7 +157,18 @@ def _mode_sum(rows: np.ndarray, coeffs: np.ndarray, eigenvalues: np.ndarray,
     The weights are real (real eigenvectors). einsum, not a BLAS mat-vec,
     sums in one thread and one order under any BLAS build, the same for a
     row alone or in a stack.
+
+    Rounding lambda t alone costs up to eps max|lambda| max|t| rad, so past
+    1 rad no digit of a phase survives: that raises NumericalInvariantError
+    rather than return a wrong or NaN amplitude. max|lambda| is read off
+    the two ends of the ascending eigenvalues.
     """
+    t_max = float(np.abs(t).max(initial=0.0))
+    phase_error = _EPS * max(-float(eigenvalues[0]), float(eigenvalues[-1])) * t_max
+    if phase_error > 1.0:
+        raise NumericalInvariantError(
+            f"phases e^(-i lambda t) unresolved in float64: eps*max|lambda|*max|t| "
+            f"= {phase_error:.3e} rad > 1")
     weights = rows * coeffs
     rate = -1j * eigenvalues
     block = _block_size(t)

@@ -78,10 +78,6 @@ class DensityMatrix:
             )
         object.__setattr__(self, "matrix", _readonly(rho))
 
-    @property
-    def n_sites(self) -> int:
-        return self.matrix.shape[0] - 1
-
     @classmethod
     def from_state(cls, state: ExcitationState) -> "DensityMatrix":
         psi = state.amplitudes

@@ -1,7 +1,5 @@
 """CLI surface: presets, output stability, exit codes, metadata provenance."""
 
-import csv
-import io
 import json
 import os
 import subprocess
@@ -12,6 +10,7 @@ import pytest
 
 import gfsim
 from gfsim.cli import build_parser, main, write_table
+from gfsim.errors import ConfigError
 from gfsim.model import config_and_pair, wrap_phase
 from gfsim.protocol import make_plan
 
@@ -73,61 +72,55 @@ def test_reruns_are_bit_identical(tmp_path):
     runs = PRESET_RUNS + [["dissipation", "--preset", "fig5", "-m", "1", "-n", "3",
                            "--seed", "7", "--samples", "20", "--grid", "0.001:1:4"]]
     for k, argv in enumerate(runs):
-        first = run_to_dir(argv, tmp_path / f"{k}a")
-        assert first == run_to_dir(argv, tmp_path / f"{k}b"), argv
+        # a plan is a JSON document only
+        fmt = "json" if argv[0] == "plan" else "csv"
+        first = run_to_dir(argv, tmp_path / f"{k}a", fmt)
+        assert first == run_to_dir(argv, tmp_path / f"{k}b", fmt), argv
 
 
 def test_csv_and_json_agree(tmp_path):
     for argv in PRESET_RUNS:
         name = argv[0]
+        if name == "plan":
+            # a plan is a JSON document only: test_plan_is_one_json_document
+            continue
         csv_files = run_to_dir(argv, tmp_path / f"{name}_csv", "csv")
         json_files = run_to_dir(argv, tmp_path / f"{name}_json", "json")
-        # out.csv <-> out.json, out_m1n3.csv <-> out_m1n3.json, and the
-        # transfer sidecars out.csv.plan.json <-> out.json.plan.json
+        # out.csv <-> out.json, out_m1n3.csv <-> out_m1n3.json
         assert [f.replace(".csv", ".json", 1) for f in csv_files] == list(json_files)
         for csv_name, text in csv_files.items():
             other = json_files[csv_name.replace(".csv", ".json", 1)]
-            if csv_name.endswith(".plan.json"):
-                assert text == other, name
-                continue
             header, head, *lines = text.splitlines()
             payload = json.loads(other)
             assert json.loads(header[2:]) == payload["metadata"], name
-            if name == "plan":
-                assert head == "field,value"
-                fields = dict(csv.reader(lines))
-                assert {k: json.loads(v) for k, v in fields.items()} == payload["plan"]
-                continue
             # the same cells, text for text: integer columns stay integers
             assert head.split(",") == payload["columns"], name
             assert lines == [",".join(map(str, row)) for row in payload["rows"]], name
 
 
-def test_plan_csv_parses_with_csv_reader(capsys):
-    # list-valued fields hold commas, so they must be quoted: every row reads
-    # back as exactly (field, value) with the plan's JSON value
-    assert run_cli(["plan", "--preset", "fig3b", "--format", "csv"]) == 0
-    header, *body = capsys.readouterr().out.splitlines()
-    rows = list(csv.reader(body))
-    assert rows[0] == ["field", "value"]
-    expected = make_plan(config_and_pair(json.loads(header[2:])["config"])[0],
-                         2, 4).to_dict()
-    assert [field for field, *_ in rows[1:]] == sorted(expected)
-    for row in rows[1:]:
-        assert len(row) == 2, row
-        assert json.loads(row[1]) == expected[row[0]], row
+def test_plan_is_one_json_document(capsys):
+    # plan writes its JSON document with or without --format json, and has
+    # no CSV form
+    texts = []
+    for fmt in ([], ["--format", "json"]):
+        assert run_cli(["plan", "--preset", "fig3b", *fmt]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    payload = json.loads(texts[0])
+    expected = make_plan(config_and_pair(payload["metadata"]["config"])[0], 2, 4)
+    assert payload["plan"] == expected.to_dict()
+    assert run_cli(["plan", "--preset", "fig3b", "--format", "csv"]) == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
-def test_csv_cells_are_quoted_like_csv_writer(capsys):
-    # the writer's quoting is held to the csv module's own minimal quoting
-    columns = {"site": [1, 2, 3, 4], "x": [0.5, -1e-300, 2.0, 3.25],
-               "note": ["plain", "a,b", 'say "hi"', "[1.0, 2.0]"]}
-    write_table(None, "csv", {}, columns)
-    header, *body = capsys.readouterr().out.splitlines(keepends=True)
-    expected = io.StringIO()
-    csv.writer(expected, lineterminator="\n").writerows(
-        [list(columns), *zip(*columns.values())])
-    assert "".join(body) == expected.getvalue()
+def test_text_column_is_refused(capsys):
+    # every table cell is a number, so no CSV cell needs quoting; a text
+    # column is refused in either format, and nothing is written
+    columns = {"site": [1, 2], "note": ["plain", "a,b"]}
+    for fmt in ("csv", "json"):
+        with pytest.raises(ConfigError, match="'note' is not numeric"):
+            write_table(None, fmt, {}, columns)
+    assert capsys.readouterr().out == ""
 
 
 def test_numeric_csv_cells_are_str_of_each_cell(capsys):
@@ -200,16 +193,17 @@ def test_spectrum_shows_switching_degeneracy(tmp_path):
     assert eigs == sorted(eigs)
 
 
-def test_transfer_preset_with_plan_sidecar(tmp_path):
+def test_transfer_preset_writes_one_file(tmp_path):
+    # the plan travels in the metadata line; no second file is written
     out = tmp_path / "fig3b.csv"
     assert run_cli(["transfer", "--preset", "fig3b", "--out", str(out)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["fig3b.csv"]
     meta, columns, rows = read_csv_output(out)
     assert columns == ["omega1_t", "p_transfer"]
     assert meta["peak_probability"] >= 0.99
     assert meta["peak_time_relative_offset"] <= 0.02
-    sidecar = json.loads((tmp_path / "fig3b.csv.plan.json").read_text())
-    assert sidecar["plan"]["eta_star"] == meta["plan"]["eta_star"]
-    assert sidecar["plan"]["source"] == 2 and sidecar["plan"]["target"] == 4
+    expected = make_plan(config_and_pair(meta["config"])[0], 2, 4)
+    assert meta["plan"] == expected.to_dict()
 
 
 def test_transfer_direct_sweep_requires_grid(tmp_path):
@@ -391,6 +385,80 @@ def test_refusals_print_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(prefix) and len(err.splitlines()) == 1, err
         assert "Traceback" not in err
+
+
+def test_each_refusal_is_one_error_line(tmp_path, capsys):
+    # refusals of flags, configs and missing inputs: exit 2 and one line
+    def config(name, text):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        return str(path)
+
+    resonant = config("resonant", json.dumps({
+        "n_sites": 6, "frequencies": {"preset": "resonant", "C": 1.0}, "J": 0.0013}))
+    switching = config("switching", json.dumps({
+        "n_sites": 6, "frequencies": {"preset": "switching", "m": 2, "n": 4},
+        "J": 0.0013}))
+    bad_configs = {
+        "not_json": ("{n_sites: 6}", "is not valid JSON"),
+        "list": ("[1]", "config must be a mapping, got list"),
+        "float_sites": ('{"n_sites": 6.0, "frequencies": {"preset": "resonant"}, '
+                        '"J": 0.1}', "'n_sites' must be an integer"),
+        "no_frequencies": ('{"n_sites": 6, "J": 0.1}',
+                           "missing required field 'frequencies'"),
+        "preset_key": ('{"n_sites": 6, "frequencies": {"preset": "resonant", "X": 1}, '
+                       '"J": 0.1}', "unknown frequency-preset field 'X'"),
+        "string_frequencies": ('{"n_sites": 6, "frequencies": "resonant", "J": 0.1}',
+                               "'frequencies' must be a list or a preset object"),
+    }
+    walk = ["resonant-walk", "--preset", "fig1"]
+    cases = [
+        (walk + ["--grid", "0:x:5"], "numeric fields"),
+        (walk + ["--grid", "5:1:3"], "finite start < end"),
+        (walk + ["--grid", "0:inf:3"], "finite start < end"),
+        (walk + ["--times", "1,abc"], "comma-separated numbers"),
+        (walk + ["--times=-1"], "finite and >= 0"),
+        (["qubit", "--preset", "fig4", "--alpha", "1+"], "complex literal"),
+        (["spectrum", "--config", str(tmp_path / "missing.json")], "cannot read config"),
+        (["transfer", "--preset", "fig3b", "-m", "1"], "must be given together"),
+        (["plan", "--config", resonant], "a site pair is required"),
+        (["qubit", "--config", switching], "requires --alpha and --beta"),
+        (["dissipation", "--config", resonant, "--seed", "1"], "needs a site pair"),
+    ]
+    cases += [(["spectrum", "--config", config(name, text)], message)
+              for name, (text, message) in bad_configs.items()]
+    for argv, message in cases:
+        assert run_cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+        assert message in err, (argv, err)
+
+    # an --out that names a directory is refused, and its temp file removed
+    target = tmp_path / "outdir"
+    target.mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run_cli(["transfer", "--preset", "fig3b", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert list(target.iterdir()) == []
+
+
+def test_unresolvable_phases_exit_4(tmp_path, capsys):
+    # past eps max|lambda| max|t| = 1 rad no phase digit survives: the runs
+    # are refused with one line and write nothing (they used to print a
+    # p_transfer of 0.9946 at 1e307 and NaN at 1e308)
+    out = tmp_path / "fig3b.csv"
+    for argv in (["transfer", "--preset", "fig3b", "--times", "0,1e307"],
+                 ["transfer", "--preset", "fig3b", "--times", "0,1e307,1e308",
+                  "--out", str(out)],
+                 ["qubit", "--preset", "fig4", "--times", "1e308"]):
+        assert run_cli(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical invariant violated: phases")
+        assert len(captured.err.splitlines()) == 1, captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_detuned_array_refuses_resonant_closed_form(tmp_path):

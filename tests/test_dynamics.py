@@ -264,6 +264,25 @@ def test_transfer_probability_rejects_bad_sites():
         transfer_amplitude(2, 3, spec, 0.7)
 
 
+def test_unresolvable_phases_are_refused():
+    # fig3b's spectrum: the bound is eps max|lambda| max|t| = 1 rad, and a
+    # time just inside it still gives finite probabilities and a state that
+    # passes ExcitationState's norm check
+    cfg = config_and_pair({"n_sites": 6, "J": 0.0013, "frequencies":
+                           {"preset": "switching", "m": 2, "n": 4}})[0]
+    spec = decompose(build_hamiltonian(cfg))
+    edge = 1.0 / (np.finfo(float).eps * np.abs(spec.eigenvalues).max())
+    start = single_photon_state(6, 2)
+    for t in (1e308, 1.001 * edge):
+        with pytest.raises(NumericalInvariantError, match="unresolved in float64"):
+            transfer_amplitude(2, 4, spec, [0.0, t])
+        with pytest.raises(NumericalInvariantError, match="unresolved in float64"):
+            evolve(start, spec, t)
+    inside = 0.999 * edge
+    assert np.isfinite(transfer_probability(2, 4, spec, [0.0, inside])).all()
+    assert evolve(start, spec, inside).n_sites == 6
+
+
 def test_decompose_refuses_non_finite_bare_arrays():
     # a bare array goes through HamiltonianMatrix, so non-finite entries are
     # a ConfigError (exit 2); both used to come back as a spectrum, the

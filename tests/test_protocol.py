@@ -340,6 +340,11 @@ def test_plan_from_dict_rejects_corruption(plan_24):
         TransferPlan.from_dict(data)
 
 
+def test_plan_from_dict_refuses_a_non_mapping():
+    with pytest.raises(ConfigError, match="plan must be a mapping, got list"):
+        TransferPlan.from_dict([])
+
+
 def test_plan_config_carries_the_plan_and_is_made_once(plan_24):
     cfg = plan_config(plan_24)
     np.testing.assert_array_equal(cfg.frequencies, plan_24.frequencies)

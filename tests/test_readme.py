@@ -10,7 +10,7 @@ from gfsim.model import _TOP_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# a file name a comment promises, e.g. "fig3b.csv.plan.json"
+# a file name a comment promises, e.g. "fig5_m1n3.csv"
 _FILE_NAME = re.compile(r"[\w-]+(?:\.\w+)+")
 
 
@@ -83,6 +83,24 @@ def test_command_flag_table_matches_parser():
                   - _COMMON_FLAGS
                   for name, cmd in subcommands.choices.items()}
     assert documented == registered
+
+
+def test_usage_lines_state_each_format_choice():
+    # the CLI synopsis gives "[--format a|b]" for `gfsim <command>` and for
+    # each command that differs; the parser's choices, first one the
+    # default, must match
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S)
+    assert block, "README has no CLI synopsis"
+    documented = dict(re.findall(r"^gfsim (\S+) [^`]*?\[--format ([\w|]+)\]",
+                                 block.group(1), re.M))
+    assert "<command>" in documented and "plan" in documented
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    for name, cmd in subcommands.choices.items():
+        action = next(a for a in cmd._actions if "--format" in a.option_strings)
+        stated = documented.get(name, documented["<command>"]).split("|")
+        assert list(action.choices) == stated, name
+        assert action.default == stated[0], name
 
 
 def test_config_key_table_matches_schema():
