@@ -1,17 +1,17 @@
 """Command-line front end: binds configs to experiments, emits figure-ready
-tables (CSV or JSON) and plan documents (JSON) with a full provenance header.
+CSV tables and JSON plan documents with a full provenance header.
 
 Commands: spectrum, resonant-walk, plan, transfer, qubit, dissipation. One
 table, _COMMANDS, gives each its handler, help and flags. Presets give their
 sweep grids as the text of a flag (--times or --grid), so a preset's grid
-passes the same checks as a user's. Each output embeds a one-line JSON
-metadata comment carrying the resolved config, seed, tool version and every
-assumed parameter, so any file can be regenerated from its own header.
-Outputs contain no timestamps: rerunning with the same flags and seed is
-bit-identical. Files are written atomically (temp file in the target
-directory, then rename) and get the mode the umask gives a new file. The
-parser is built once per process, so repeated in-process main() calls pay
-for argparse only once.
+passes the same checks as a user's. Each table starts with a one-line JSON
+metadata comment, and each plan document holds a metadata object, carrying
+the resolved config, seed, tool version and every assumed parameter, so any
+file can be regenerated from its own header. Outputs contain no
+timestamps: rerunning with the same flags and seed is bit-identical. Files
+are written atomically (temp file in the target directory, then rename) and
+get the mode the umask gives a new file. The parser is built once per
+process, so repeated in-process main() calls pay for argparse only once.
 
 Exit codes: 0 success, 2 config error, 3 physics-regime refusal (doublet
 unresolved, closed form inapplicable), 4 numerical-invariant violation.
@@ -40,8 +40,8 @@ from .open_system import average_transfer_fidelity, reference_qubit_states, \
     sample_qubit_states
 from .protocol import _applied_phase, make_plan, qubit_fidelity_curve
 
-# Flags beyond --config/--preset/--out/--format; each subcommand takes only
-# the ones its handler reads, so argparse refuses the rest.
+# Flags beyond --config/--preset/--out; each subcommand takes only the ones
+# its handler reads, so argparse refuses the rest.
 _FLAGS = {
     "source": (("-m", "--source"), {"type": int, "help": "source site (1-based)"}),
     "target": (("-n", "--target"), {"type": int, "help": "target site (1-based)"}),
@@ -57,6 +57,9 @@ _FLAGS = {
     "states": (("--states",), {"choices": ("haar", "fixed4"), "default": "haar",
                                "help": "dissipation ensemble: Haar samples or "
                                        "the four reference states"}),
+    # a plan is one JSON document; every other command writes a CSV table
+    "format": (("--format",), {"choices": ("json",), "default": "json",
+                               "help": "plan document format (JSON only)"}),
 }
 
 # Presets pin every assumed-but-unstated parameter in one auditable place.
@@ -163,37 +166,28 @@ def _dumps(payload, **kwargs) -> str:
     return json.dumps(payload, sort_keys=True, default=lambda o: o.tolist(), **kwargs)
 
 
-def _json_document(payload: dict) -> str:
-    return _dumps(payload, indent=2) + "\n"
+def write_table(path: str | None, metadata: dict, columns: dict) -> None:
+    """Emit a CSV table given column-major: `columns` maps each name to a
+    1-d array or list, all of one length, and the metadata goes first as a
+    "# {json}" line.
 
-
-def write_table(path: str | None, fmt: str, metadata: dict, columns: dict) -> None:
-    """Emit a table given column-major: `columns` maps each name to a 1-d
-    array or list, all of one length.
-
-    Cells are the Python values of the columns: CSV writes str(cell), the
+    Cells are the Python values of the columns, written as str(cell), the
     shortest round-trip text, so integer columns stay integers. A column is
     formatted by one repr of its list, split at ", ": each item of
     repr(list) is repr(cell), which equals str(cell) for every int and float
     (nan and inf included). Every cell is a number, so none holds a comma
-    and no CSV cell is quoted; a column of any other kind is refused.
+    and no cell is quoted; a column of any other kind is refused.
     """
-    arrays = [np.asarray(c) for c in columns.values()]
-    for name, a in zip(columns, arrays):
+    texts = []
+    for name, column in columns.items():
+        a = np.asarray(column)
         if a.dtype.kind not in "iuf":
             raise ConfigError(f"table column {name!r} is not numeric ({a.dtype})")
-    cells = [a.tolist() for a in arrays]
-    if fmt == "csv":
-        texts = [repr(col)[1:-1].split(", ") if col else [] for col in cells]
-        lines = ["# " + _dumps(metadata), ",".join(columns)]
-        lines += map(",".join, zip(*texts))
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        text = _json_document({"metadata": metadata, "columns": list(columns),
-                               "rows": list(zip(*cells))})
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
-    _emit(path, text)
+        cells = a.tolist()
+        texts.append(repr(cells)[1:-1].split(", ") if cells else [])
+    lines = ["# " + _dumps(metadata), ",".join(columns)]
+    lines += map(",".join, zip(*texts))
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _parse_grid(text: str):
@@ -248,9 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--preset", choices=sorted(_PRESETS),
                          help="named parameter preset")
         cmd.add_argument("--out", help="output path (default: stdout)")
-        # a plan is one JSON document; every other command writes a table
-        formats = ("json",) if name == "plan" else ("csv", "json")
-        cmd.add_argument("--format", choices=formats, default=formats[0])
         for flag in flags:
             names, options = _FLAGS[flag]
             cmd.add_argument(*names, **options)
@@ -387,7 +378,7 @@ def cmd_spectrum(exp: ResolvedExperiment) -> int:
     freqs = exp.config.frequencies
     meta = _base_metadata(exp)
     meta["eigenvalue_note"] = "eigenvalues ascending; row pairing with sites is positional only"
-    write_table(exp.args.out, exp.args.format, meta, {
+    write_table(exp.args.out, meta, {
         "site": np.arange(1, exp.config.n_sites + 1),
         "omega": freqs,
         "omega_over_base": freqs / freqs[0],
@@ -429,7 +420,7 @@ def cmd_resonant_walk(exp: ResolvedExperiment) -> int:
     meta["deviation_note"] = (
         "max_abs_deviation compares amplitudes in the resonant rotating frame"
     )
-    write_table(exp.args.out, exp.args.format, meta, columns)
+    write_table(exp.args.out, meta, columns)
     return 0
 
 
@@ -437,7 +428,7 @@ def cmd_plan(exp: ResolvedExperiment) -> int:
     m, n = _require_pair(exp)
     meta = _base_metadata(exp)
     plan = _capture_plan(exp.config, m, n, meta)
-    _emit(exp.args.out, _json_document({"metadata": meta, "plan": plan.to_dict()}))
+    _emit(exp.args.out, _dumps({"metadata": meta, "plan": plan.to_dict()}, indent=2) + "\n")
     return 0
 
 
@@ -461,8 +452,7 @@ def cmd_transfer(exp: ResolvedExperiment) -> int:
     if plan is not None:
         rel = abs(times_wt[peak_idx] - plan.transfer_time * base) / (plan.transfer_time * base)
         meta["peak_time_relative_offset"] = float(rel)
-    write_table(exp.args.out, exp.args.format, meta,
-                {"omega1_t": times_wt, "p_transfer": probs})
+    write_table(exp.args.out, meta, {"omega1_t": times_wt, "p_transfer": probs})
     return 0
 
 
@@ -491,7 +481,7 @@ def cmd_qubit(exp: ResolvedExperiment) -> int:
         "closed_form_fidelity_at_transfer_time": float(at_star_closed),
         "max_closed_form_deviation": float(np.max(np.abs(numeric - closed))),
     })
-    write_table(exp.args.out, exp.args.format, meta, {
+    write_table(exp.args.out, meta, {
         "omega1_t": times_wt, "fidelity": numeric, "closed_form_fidelity": closed})
     return 0
 
@@ -542,7 +532,7 @@ def cmd_dissipation(exp: ResolvedExperiment) -> int:
         if out is not None and multi:
             stem, ext = os.path.splitext(out)
             out = f"{stem}_m{m}n{n}{ext or ''}"
-        write_table(out, exp.args.format, meta, {
+        write_table(out, meta, {
             "gamma_over_J": curve.gamma_over_J,
             "mean_fidelity": curve.mean_fidelity,
             "stderr": curve.stderr,
@@ -557,7 +547,8 @@ _COMMANDS = {
     "resonant-walk": (cmd_resonant_walk,
                       "single-photon spreading on a resonant array vs the closed form",
                       ("grid", "times")),
-    "plan": (cmd_plan, "design a transfer plan for a site pair", ("source", "target")),
+    "plan": (cmd_plan, "design a transfer plan for a site pair",
+             ("source", "target", "format")),
     "transfer": (cmd_transfer, "transfer probability curve (planned or direct sweep)",
                  ("source", "target", "grid", "times")),
     "qubit": (cmd_qubit, "qubit transfer fidelity curve with the closed-form comparison",

@@ -128,16 +128,17 @@ def decompose(hamiltonian: HamiltonianMatrix) -> SpectralDecomposition:
     return _derived(hamiltonian, "_spectrum", _eigensystem)
 
 
-def _block_size(t: np.ndarray) -> int:
+def _block_size(t: np.ndarray, t_max: float) -> int:
     """B = ceil(sqrt(T)) when a 1-d grid of T times is uniform enough that
-    t[aB] + (t[b] - t[0]) lands within 4 eps max|t| of t[aB+b] for every
-    index, and when B cuts the exp count (ceil(T/B) + B < T); otherwise 1."""
+    t[aB] + (t[b] - t[0]) lands within 4 eps t_max (t_max = max|t|) of
+    t[aB+b] for every index, and when B cuts the exp count
+    (ceil(T/B) + B < T); otherwise 1."""
     size = t.size
     block = math.isqrt(size - 1) + 1 if size else 1
     if -(-size // block) + block >= size:
         return 1
     split = (t[::block, None] + (t[:block] - t[0])).ravel()[:size]
-    return block if np.abs(split - t).max() <= 4.0 * _EPS * np.abs(t).max() else 1
+    return block if np.abs(split - t).max() <= 4.0 * _EPS * t_max else 1
 
 
 def _mode_sum(rows: np.ndarray, coeffs: np.ndarray, eigenvalues: np.ndarray,
@@ -158,12 +159,15 @@ def _mode_sum(rows: np.ndarray, coeffs: np.ndarray, eigenvalues: np.ndarray,
     sums in one thread and one order under any BLAS build, the same for a
     row alone or in a stack.
 
-    Rounding lambda t alone costs up to eps max|lambda| max|t| rad, so past
-    1 rad no digit of a phase survives: that raises NumericalInvariantError
-    rather than return a wrong or NaN amplitude. max|lambda| is read off
-    the two ends of the ascending eigenvalues.
+    max|t| is taken once: a NaN or infinite time raises ConfigError, and
+    since rounding lambda t alone costs up to eps max|lambda| max|t| rad,
+    past 1 rad no digit of a phase survives: that raises
+    NumericalInvariantError rather than return a wrong or NaN amplitude.
+    max|lambda| is read off the two ends of the ascending eigenvalues.
     """
     t_max = float(np.abs(t).max(initial=0.0))
+    if not math.isfinite(t_max):
+        raise ConfigError("times must be finite")
     phase_error = _EPS * max(-float(eigenvalues[0]), float(eigenvalues[-1])) * t_max
     if phase_error > 1.0:
         raise NumericalInvariantError(
@@ -171,7 +175,7 @@ def _mode_sum(rows: np.ndarray, coeffs: np.ndarray, eigenvalues: np.ndarray,
             f"= {phase_error:.3e} rad > 1")
     weights = rows * coeffs
     rate = -1j * eigenvalues
-    block = _block_size(t)
+    block = _block_size(t, t_max)
     phases = np.exp(np.multiply.outer(t[::block], rate))
     if block > 1:
         fine = np.exp(np.multiply.outer(t[:block] - t[0], rate))
@@ -184,16 +188,13 @@ def evolve(state: ExcitationState, spec: SpectralDecomposition, t: float) -> Exc
 
     The vacuum carries energy 0 by convention, so it acquires no phase.
     """
-    t = float(t)
-    if not np.isfinite(t):
-        raise ConfigError(f"time must be finite, got {t!r}")
     if state.n_sites != spec.n_sites:
         raise ConfigError(
             f"state has {state.n_sites} sites but decomposition has {spec.n_sites}"
         )
     v = spec.eigenvectors
     coeffs = np.einsum("jk,j->k", v, state.amplitudes[1:])
-    sites = _mode_sum(v, coeffs, spec.eigenvalues, np.array([t]))[0]
+    sites = _mode_sum(v, coeffs, spec.eigenvalues, np.array([float(t)]))[0]
     return ExcitationState(np.append(state.amplitudes[0], sites))
 
 
@@ -218,8 +219,6 @@ def transfer_amplitude(initial_site: int, target_site, spec: SpectralDecompositi
         if not _is_integer(site) or not 1 <= site <= n:
             raise ConfigError(f"{name} must be an integer in [1, {n}], got {site}")
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise ConfigError("times must be finite")
     v = spec.eigenvectors
     amps = _mode_sum(v[targets - 1], v[initial_site - 1, :],
                      spec.eigenvalues, t_arr.ravel())

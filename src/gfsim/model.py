@@ -180,12 +180,18 @@ class HamiltonianMatrix:
 
 
 def build_couplings(scale: float, n_sites: int) -> np.ndarray:
-    """Bond strengths J*sqrt(k) for k = 1..n_sites-1 (strictly increasing)."""
+    """Bond strengths J*sqrt(k) for k = 1..n_sites-1 (strictly increasing).
+
+    The last bond is checked first, in Python floats (the same bits as
+    numpy's): one beyond float range is a ConfigError, not an inf and a
+    numpy overflow warning."""
     if not _is_integer(n_sites) or n_sites < 2:
         raise ConfigError(f"n_sites must be an integer >= 2, got {n_sites!r}")
     scale = float(scale)
     if not math.isfinite(scale) or scale <= 0.0:
         raise ConfigError(f"coupling scale must be > 0, got {scale!r}")
+    if not math.isfinite(scale * math.sqrt(n_sites - 1)):
+        raise ConfigError(f"bond J*sqrt({n_sites - 1}) overflows float64 at J = {scale!r}")
     return scale * np.sqrt(np.arange(1, int(n_sites), dtype=float))
 
 

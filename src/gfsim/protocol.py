@@ -216,7 +216,9 @@ def _partitioned_doublet(shifted: np.ndarray, bonds: np.ndarray, lo: int, hi: in
     of the normalized eigenvector, for the top level and then the bottom.
     """
     d = shifted.tolist()
-    b2 = (bonds * bonds).tolist()
+    # squared as Python floats: the same bits as numpy's, and an overflow
+    # to inf raises no warning
+    b2 = [b * b for b in bonds.tolist()]
     n_sites = len(d)
     left = _chain_run(d, b2, range(lo))
     right = _chain_run(d, b2, range(n_sites - 1, hi, -1))
@@ -291,18 +293,29 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
     These measured values, with the sites and the profile, are all the plan
     is given: TransferPlan derives theta, lambda_mean, t* and eta* from them.
 
-    Refuses (DoubletNotResolvedError) below purity 0.9, and when the
-    splitting 2*theta is below 1e3 * eps * ||H|| (too narrow for the
-    float64 propagation of the plan to time to 1e-3); warns
-    (DoubletPurityWarning) in [0.9, 0.99).
+    Refuses (DoubletNotResolvedError) when float64 cannot carry the
+    partitioning (a level on an exact pole, amplitudes that underflow),
+    below purity 0.9, and when the splitting 2*theta is below
+    1e3 * eps * ||H|| (too narrow for the float64 propagation of the plan
+    to time to 1e-3); warns (DoubletPurityWarning) in [0.9, 0.99).
     """
     base = float(template.frequencies[0])
     lo, hi = (m, n) if m < n else (n, m)
     freqs = switching_frequencies(base, lo, hi, template.n_sites)
     bonds = build_couplings(template.coupling_scale, template.n_sites)
     omega = float(freqs[lo - 1])
-    (x_hi, *top), (x_lo, *bottom) = _partitioned_doublet(freqs - omega, bonds,
-                                                         lo - 1, hi - 1)
+    try:
+        (x_hi, *top), (x_lo, *bottom) = _partitioned_doublet(freqs - omega, bonds,
+                                                             lo - 1, hi - 1)
+    except (ZeroDivisionError, ValueError) as exc:
+        # a level on an exact pole of a side chain, or doublet amplitudes
+        # that underflow: J and the profile's O(1) detunings at base
+        # frequency omega_1 are too far apart in scale for float64
+        raise DoubletNotResolvedError(
+            f"doublet not resolved for {m} -> {n}: partitioning failed in "
+            f"float64 ({exc}); J = {template.coupling_scale!r} and the "
+            f"detunings at omega_1 = {base!r} are too far apart in scale"
+        ) from exc
 
     # +1 when the symmetric combination (|m>+|n>)/sqrt2 is the top level
     sign = 1 if top[0] * top[1] > 0.0 else -1

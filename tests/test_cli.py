@@ -61,10 +61,14 @@ PRESET_RUNS = [
 ]
 
 
-def run_to_dir(argv, out_dir, fmt="csv"):
-    """Run one command into a fresh directory; {file name: text} of its output."""
+def run_to_dir(argv, out_dir):
+    """Run one command into a fresh directory; {file name: text} of its output.
+    A plan is a JSON document (given its one --format), any other output a
+    CSV table."""
     out_dir.mkdir()
-    assert run_cli(argv + ["--format", fmt, "--out", str(out_dir / f"out.{fmt}")]) == 0
+    fmt = ["--format", "json"] if argv[0] == "plan" else []
+    out = out_dir / ("out.json" if fmt else "out.csv")
+    assert run_cli(argv + fmt + ["--out", str(out)]) == 0
     return {p.name: p.read_text() for p in sorted(out_dir.iterdir())}
 
 
@@ -72,30 +76,20 @@ def test_reruns_are_bit_identical(tmp_path):
     runs = PRESET_RUNS + [["dissipation", "--preset", "fig5", "-m", "1", "-n", "3",
                            "--seed", "7", "--samples", "20", "--grid", "0.001:1:4"]]
     for k, argv in enumerate(runs):
-        # a plan is a JSON document only
-        fmt = "json" if argv[0] == "plan" else "csv"
-        first = run_to_dir(argv, tmp_path / f"{k}a", fmt)
-        assert first == run_to_dir(argv, tmp_path / f"{k}b", fmt), argv
+        first = run_to_dir(argv, tmp_path / f"{k}a")
+        assert first == run_to_dir(argv, tmp_path / f"{k}b"), argv
 
 
-def test_csv_and_json_agree(tmp_path):
+def test_tables_take_no_format_flag(capsys):
+    # a table is one CSV document: only plan registers --format
     for argv in PRESET_RUNS:
-        name = argv[0]
-        if name == "plan":
-            # a plan is a JSON document only: test_plan_is_one_json_document
+        if argv[0] == "plan":
             continue
-        csv_files = run_to_dir(argv, tmp_path / f"{name}_csv", "csv")
-        json_files = run_to_dir(argv, tmp_path / f"{name}_json", "json")
-        # out.csv <-> out.json, out_m1n3.csv <-> out_m1n3.json
-        assert [f.replace(".csv", ".json", 1) for f in csv_files] == list(json_files)
-        for csv_name, text in csv_files.items():
-            other = json_files[csv_name.replace(".csv", ".json", 1)]
-            header, head, *lines = text.splitlines()
-            payload = json.loads(other)
-            assert json.loads(header[2:]) == payload["metadata"], name
-            # the same cells, text for text: integer columns stay integers
-            assert head.split(",") == payload["columns"], name
-            assert lines == [",".join(map(str, row)) for row in payload["rows"]], name
+        for fmt in ("json", "csv"):
+            assert run_cli(argv + ["--format", fmt]) == 2, (argv, fmt)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --format" in captured.err, (argv, fmt)
 
 
 def test_plan_is_one_json_document(capsys):
@@ -115,11 +109,10 @@ def test_plan_is_one_json_document(capsys):
 
 def test_text_column_is_refused(capsys):
     # every table cell is a number, so no CSV cell needs quoting; a text
-    # column is refused in either format, and nothing is written
+    # column is refused, and nothing is written
     columns = {"site": [1, 2], "note": ["plain", "a,b"]}
-    for fmt in ("csv", "json"):
-        with pytest.raises(ConfigError, match="'note' is not numeric"):
-            write_table(None, fmt, {}, columns)
+    with pytest.raises(ConfigError, match="'note' is not numeric"):
+        write_table(None, {}, columns)
     assert capsys.readouterr().out == ""
 
 
@@ -136,7 +129,7 @@ def test_numeric_csv_cells_are_str_of_each_cell(capsys):
         "dev": [np.float64(v) for v in (0.1, 1 / 3, 2.5e-17, 7.0, 1e22, -1e-5,
                                         np.pi, 1e-7)],
     }
-    write_table(None, "csv", {}, columns)
+    write_table(None, {}, columns)
     _, header, *body = capsys.readouterr().out.splitlines()
     assert header == "x,big,dev"
     reference = [[str(cell) for cell in np.asarray(col).tolist()]
@@ -146,7 +139,7 @@ def test_numeric_csv_cells_are_str_of_each_cell(capsys):
     assert body[1].split(",")[:2] == ["5e-324", "-4611686018427387907"]
 
     # a zero-row table is the metadata line and the header line, nothing else
-    write_table(None, "csv", {"k": 1}, {"a": np.array([]), "b": [], "c": np.arange(0)})
+    write_table(None, {"k": 1}, {"a": np.array([]), "b": [], "c": np.arange(0)})
     assert capsys.readouterr().out == '# {"k": 1}\na,b,c\n'
 
 
@@ -177,8 +170,7 @@ def test_reused_parser_leaks_no_state(tmp_path):
     for text in files.values():
         assert json.loads(text.splitlines()[0][2:])["states"] == "haar"
     fresh.mkdir()
-    result = run_child("-m", "gfsim", *argv, "--format", "csv",
-                       "--out", str(fresh / "out.csv"))
+    result = run_child("-m", "gfsim", *argv, "--out", str(fresh / "out.csv"))
     assert result.returncode == 0, result.stderr
     assert files == {p.name: p.read_text() for p in sorted(fresh.iterdir())}
 
@@ -377,10 +369,27 @@ def test_refusals_print_one_line(tmp_path, capsys):
     overflow = tmp_path / "overflow.json"
     overflow.write_text(json.dumps({"n_sites": 3, "frequencies": [1e308] * 3,
                                     "J": 1e308}))
-    for argv, code, prefix in (
-            (["spectrum", "--config", str(overflow)], 4, "numerical invariant violated:"),
-            (["resonant-walk", "--preset", "fig1", "--times", "0,1e200"], 2,
-             "error: (J t)^2")):
+    huge_bond = tmp_path / "huge_bond.json"
+    huge_bond.write_text(json.dumps({"n_sites": 6, "J": 1e308, "frequencies": {
+        "preset": "resonant", "C": 1.0}}))
+    cases = [
+        (["spectrum", "--config", str(overflow)], 4, "numerical invariant violated:"),
+        (["resonant-walk", "--preset", "fig1", "--times", "0,1e200"], 2,
+         "error: (J t)^2"),
+        # J sqrt(N - 1) beyond float range: no numpy overflow warning first
+        (["spectrum", "--config", str(huge_bond)], 2, "error: bond J*sqrt(5) overflows"),
+    ]
+    # valid configs whose partitioning float64 cannot carry (a level on an
+    # exact pole at large C, underflow at tiny J, a negative norm at J far
+    # above C) or whose squared bonds overflow: refused (3), not crashed on
+    for k, (n_sites, m, n, base, coupling) in enumerate((
+            (6, 1, 3, 1e18, 0.0013), (10, 8, 10, 1e15, 0.0013), (6, 2, 4, 1.0, 1e-100),
+            (3, 1, 3, 1e-10, 1e16), (7, 4, 7, 1.0, 1e200))):
+        config = tmp_path / f"extreme{k}.json"
+        config.write_text(json.dumps({"n_sites": n_sites, "J": coupling, "frequencies": {
+            "preset": "switching", "C": base, "m": m, "n": n}}))
+        cases.append((["plan", "--config", str(config)], 3, "refused: doublet not resolved"))
+    for argv, code, prefix in cases:
         assert run_cli(argv) == code, argv
         err = capsys.readouterr().err
         assert err.startswith(prefix) and len(err.splitlines()) == 1, err

@@ -1,6 +1,7 @@
 """Config validation, Hamiltonian construction, and the switching profile."""
 
 import math
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -46,6 +47,15 @@ def test_build_couplings_square_root_law():
         build_couplings(0.0, 4)
     with pytest.raises(ConfigError):
         build_couplings(-1.0, 4)
+    # the last bond J sqrt(N - 1) beyond float range is a config error, with
+    # no numpy overflow warning (filterwarnings = error would raise it)
+    with pytest.raises(ConfigError, match=r"J\*sqrt\(5\) overflows float64"):
+        build_couplings(1e308, 6)
+    with pytest.raises(ConfigError, match="overflows float64"):
+        build_hamiltonian(ArrayConfig(6, np.ones(6), 1e308))
+    # sqrt(2) 1e308 and J sqrt(1) = J itself still fit
+    assert build_couplings(1e308, 3)[-1] == 1e308 * math.sqrt(2)
+    assert build_couplings(sys.float_info.max, 2)[0] == sys.float_info.max
 
 
 def test_array_config_validation():

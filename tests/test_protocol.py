@@ -14,7 +14,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gfsim.errors import ConfigError, DoubletNotResolvedError
+from gfsim.errors import ConfigError, DoubletNotResolvedError, GfsimError
 from gfsim.model import (ArrayConfig, build_hamiltonian, switching_frequencies,
                          wrap_phase)
 from gfsim.dynamics import decompose, transfer_probability
@@ -177,6 +177,50 @@ def test_unresolvable_doublet_is_refused():
     tmpl = resonant_template(n_sites=10)
     with pytest.raises(DoubletNotResolvedError, match="splitting"):
         make_plan(tmpl, 2, 8)
+
+
+# (N, m, n, C, J, refusal): valid configs whose partitioning float64 cannot
+# carry. A level on an exact pole of a side chain (the profile's O(1)
+# detunings round to multiples of ulp(C)), null-vector squares that
+# underflow (norm 0) and a negative norm under the square root (J far above
+# C) raised ZeroDivisionError or ValueError; squared bonds that overflow
+# raised a numpy warning (filterwarnings = error) before their refusal.
+EXTREME_SCALES = [
+    (6, 1, 3, 1e18, 0.0013, "for 1 -> 3: partitioning failed in float64"),
+    (10, 8, 10, 1e15, 0.0013, "for 8 -> 10: partitioning failed in float64"),
+    (6, 2, 4, 1.0, 1e-100, "for 2 -> 4: partitioning failed in float64"),
+    (3, 1, 3, 1e-10, 1e16, "for 1 -> 3: partitioning failed in float64"),
+    (7, 4, 7, 1.0, 1e200, "levels of sites 4 and 7 do not settle"),
+]
+
+
+@pytest.mark.parametrize("n_sites, m, n, base, coupling, refusal", EXTREME_SCALES)
+def test_extreme_scales_are_refused(n_sites, m, n, base, coupling, refusal):
+    with pytest.raises(DoubletNotResolvedError, match=refusal):
+        make_plan(resonant_template(n_sites, coupling, base), m, n)
+
+
+def test_magnitude_sweep_plans_or_refuses():
+    # N from 2 to 10, a random pair, J and C log-uniform on [1e-300, 1e300]:
+    # each draw builds H and a plan or raises a GfsimError. A numpy warning
+    # or any other exception fails the test; a purity warning does not.
+    rng = np.random.default_rng(20261020)
+    outcomes = {"built": 0, "refused": 0}
+    for _ in range(2000):
+        n_sites = int(rng.integers(2, 11))
+        m, n = (int(k) + 1 for k in rng.choice(n_sites, 2, replace=False))
+        coupling, base = 10.0 ** rng.uniform(-300.0, 300.0, 2)
+        config = ArrayConfig(n_sites, switching_frequencies(base, m, n, n_sites),
+                             coupling)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DoubletPurityWarning)
+            try:
+                build_hamiltonian(config)
+                make_plan(config, m, n)
+                outcomes["built"] += 1
+            except GfsimError:
+                outcomes["refused"] += 1
+    assert outcomes["built"] > 0 and outcomes["refused"] > 0, outcomes
 
 
 def test_transfer_curve_follows_sin_squared_law(plan_24):

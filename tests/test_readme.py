@@ -64,7 +64,7 @@ def test_cli_examples_run(tmp_path, monkeypatch, capsys):
 
 
 # flags every subcommand takes, listed in the README's usage line instead
-_COMMON_FLAGS = {"--config", "--preset", "--out", "--format", "-h"}
+_COMMON_FLAGS = {"--config", "--preset", "--out", "-h"}
 
 
 def test_command_flag_table_matches_parser():
@@ -86,21 +86,27 @@ def test_command_flag_table_matches_parser():
 
 
 def test_usage_lines_state_each_format_choice():
-    # the CLI synopsis gives "[--format a|b]" for `gfsim <command>` and for
-    # each command that differs; the parser's choices, first one the
-    # default, must match
+    # the CLI synopsis gives "[--format a|b]" for each command that takes
+    # one, and only plan does (a table is one CSV document); the parser's
+    # choices, first one the default, must match
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(), re.S)
     assert block, "README has no CLI synopsis"
-    documented = dict(re.findall(r"^gfsim (\S+) [^`]*?\[--format ([\w|]+)\]",
-                                 block.group(1), re.M))
-    assert "<command>" in documented and "plan" in documented
+    documented = {}
+    # one usage entry per "gfsim" line and its continuation lines
+    for usage in re.split(r"^(?=gfsim )", block.group(1), flags=re.M)[1:]:
+        stated = re.search(r"\[--format ([\w|]+)\]", usage)
+        if stated:
+            documented[usage.split()[1]] = stated.group(1)
+    assert documented == {"plan": "json"}
     subcommands = next(a for a in build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction))
+    registered = {}
     for name, cmd in subcommands.choices.items():
-        action = next(a for a in cmd._actions if "--format" in a.option_strings)
-        stated = documented.get(name, documented["<command>"]).split("|")
-        assert list(action.choices) == stated, name
-        assert action.default == stated[0], name
+        for action in cmd._actions:
+            if "--format" in action.option_strings:
+                assert action.default == action.choices[0], name
+                registered[name] = "|".join(action.choices)
+    assert registered == documented
 
 
 def test_config_key_table_matches_schema():
