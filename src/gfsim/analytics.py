@@ -1,15 +1,15 @@
-"""Closed-form results for the resonant array, used as independent oracles.
+"""The closed form for the resonant array, used as an independent oracle.
 
 A photon launched from site 1 of a resonant square-root-coupled chain
 spreads like a coherent state truncated at the chain boundary: amplitude
 on site k is proportional to (-iJt)^(k-1)/sqrt((k-1)!), with an
-incomplete-gamma normalization. The forms here are exact in their own
-right (separately normalized), and agree with the exact dynamics only
-while the boundary site is essentially unpopulated; the deviation is
-measured, not assumed away.
+incomplete-gamma normalization. The form is exact in its own right
+(separately normalized), and agrees with the exact dynamics only while
+the boundary site is essentially unpopulated; the deviation is measured,
+not assumed away.
 
-Everything is computed in log-magnitude + phase form, so the expressions
-stay finite for every finite (Jt)^2, far past the naive factorial overflow.
+Everything is computed in log-magnitude + phase form, so the expression
+stays finite for every finite (Jt)^2, far past the naive factorial overflow.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .model import _is_integer, _readonly
 
 __all__ = [
     "TruncatedCoherentProfile",
-    "regularized_upper_tail",
     "truncated_coherent_amplitudes",
 ]
 
@@ -38,24 +37,6 @@ def _log_tail(n: int, x: float) -> tuple[np.ndarray, float]:
     peak = float(np.max(logs))
     rel = np.exp(logs - peak)
     return rel, peak + math.log(float(np.sum(rel)))
-
-
-def regularized_upper_tail(n: int, x: float) -> float:
-    """Probability that a Poisson(x) variate is < n.
-
-    Equals e^{-x} * sum_{j=0}^{n-1} x^j/j!, the regularized upper incomplete
-    gamma Q(n, x). Summed in log space for every x, so it stays finite
-    where e^{-x} underflows; no general-purpose special-function routine is
-    involved (those serve as the independent oracle in the tests).
-    """
-    if not _is_integer(n) or n < 1:
-        raise ConfigError(f"term count must be an integer >= 1, got {n!r}")
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ConfigError(f"x must be finite and >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    return min(math.exp(_log_tail(int(n), x)[1] - x), 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-10
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ExcitationState, decompose
+from .dynamics import _NORM_TOL, ExcitationState, decompose
 from .errors import ConfigError, NumericalInvariantError
 from .model import HamiltonianMatrix, _is_integer, _readonly
 from .protocol import TransferPlan, _arrival_amplitude, _register_fidelity
@@ -335,7 +335,7 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
     if alpha.shape != beta.shape or alpha.size == 0:
         raise ConfigError("alpha and beta must be non-empty and of equal length")
     a2, b2 = np.abs(alpha) ** 2, np.abs(beta) ** 2
-    if not np.max(np.abs(a2 + b2 - 1.0)) <= 1e-10:
+    if not np.max(np.abs(a2 + b2 - 1.0)) <= _NORM_TOL:
         raise ConfigError("states must be normalized qubit amplitudes")
     n_samp = alpha.shape[0]
 

@@ -29,8 +29,8 @@ whether the symmetric combination (|m>+|n>)/sqrt2 is the top or bottom of
 the doublet alternates with the site distance. TransferPlan stores the
 doublet ordered by eigenvalue (theta > 0 always) and keeps the orientation
 in plus_overlap_sign; the closed-form fidelity and eta* both consume it.
-TransferPlan stores only what make_plan measures and derives n_sites, theta,
-lambda_mean, t* and eta* itself, so a plan document cannot contradict them.
+TransferPlan stores only what make_plan measures; n_sites, theta,
+lambda_mean, t* and eta* are derived once from the stored values.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Mapping
 
 import numpy as np
 
-from .dynamics import decompose, transfer_amplitude
+from .dynamics import _EPS, _NORM_TOL, decompose, transfer_amplitude
 from .errors import ConfigError, DoubletNotResolvedError
 from .model import (ArrayConfig, _derived, _is_integer, _is_real, _is_real_vector,
                     build_couplings, build_hamiltonian, switching_frequencies, wrap_phase)
@@ -61,7 +60,6 @@ __all__ = [
 _PURITY_REFUSE = 0.9
 _PURITY_WARN = 0.99
 
-_EPS = float(np.finfo(float).eps)
 # The plan is run through decompose, whose eigenvalues are good to a small
 # multiple of eps*||H||; the splitting it propagates is then off by that
 # much and t* by eps*||H||/(2*theta) relative. Requiring
@@ -89,9 +87,10 @@ class TransferPlan:
     > lambda_minus, doublet_purity (the smaller of the two doublet overlap
     weights), plus_overlap_sign (+1 when (|m>+|n>)/sqrt2 is the top level,
     -1 when the bottom) and predicted_peak (the doublet-model max_t P_mn).
-    Derived here, once: n_sites = len(frequencies), theta = (lambda_plus -
-    lambda_minus)/2 > 0, lambda_mean, transfer_time = pi/(2*theta), and
-    eta_star, the bond phase that makes the transferred amplitude +1 at t*.
+    Derived once from the stored values: n_sites = len(frequencies), theta =
+    (lambda_plus - lambda_minus)/2 > 0, lambda_mean, transfer_time =
+    pi/(2*theta), and eta_star, the bond phase that makes the transferred
+    amplitude +1 at t*.
     """
 
     source: int
@@ -147,26 +146,6 @@ class TransferPlan:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["frequencies"] = [float(w) for w in self.frequencies]
         return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TransferPlan":
-        """Plan built from a to_dict document's stored keys; its derived keys
-        must equal the rebuilt plan's exactly."""
-        if not isinstance(data, Mapping):
-            raise ConfigError(f"plan must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ConfigError(f"unknown plan field '{key}'")
-        missing = known - set(data)
-        if missing:
-            raise ConfigError(f"plan missing fields: {sorted(missing)}")
-        plan = cls(**{f.name: data[f.name] for f in fields(cls) if f.init})
-        wrong = [f.name for f in fields(cls)
-                 if not f.init and data[f.name] != getattr(plan, f.name)]
-        if wrong:
-            raise ConfigError(f"plan fields {wrong} differ from the values derived from the rest")
-        return plan
 
 
 # every stored int and float field of TransferPlan is kept as that type
@@ -278,6 +257,16 @@ def _partitioned_doublet(shifted: np.ndarray, bonds: np.ndarray, lo: int, hi: in
     return level(1), level(-1)
 
 
+def _scale_refusal(m: int, n: int, template: ArrayConfig, why) -> DoubletNotResolvedError:
+    """Refusal of an m -> n plan whose partitioning float64 cannot carry: J
+    and the profile's O(1) detunings at base frequency omega_1 are too far
+    apart in scale."""
+    return DoubletNotResolvedError(
+        f"doublet not resolved for {m} -> {n}: partitioning failed in float64 "
+        f"({why}); J = {template.coupling_scale!r} and the detunings at "
+        f"omega_1 = {float(template.frequencies[0])!r} are too far apart in scale")
+
+
 def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
     """Design the m -> n transfer for an array like `template`.
 
@@ -294,10 +283,11 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
     is given: TransferPlan derives theta, lambda_mean, t* and eta* from them.
 
     Refuses (DoubletNotResolvedError) when float64 cannot carry the
-    partitioning (a level on an exact pole, amplitudes that underflow),
-    below purity 0.9, and when the splitting 2*theta is below
-    1e3 * eps * ||H|| (too narrow for the float64 propagation of the plan
-    to time to 1e-3); warns (DoubletPurityWarning) in [0.9, 0.99).
+    partitioning (a level on an exact pole, amplitudes that underflow, a
+    level or amplitude that is not finite), below purity 0.9, and when the
+    splitting 2*theta is below 1e3 * eps * ||H|| (too narrow for the float64
+    propagation of the plan to time to 1e-3); warns (DoubletPurityWarning)
+    in [0.9, 0.99).
     """
     base = float(template.frequencies[0])
     lo, hi = (m, n) if m < n else (n, m)
@@ -309,13 +299,8 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
                                                              lo - 1, hi - 1)
     except (ZeroDivisionError, ValueError) as exc:
         # a level on an exact pole of a side chain, or doublet amplitudes
-        # that underflow: J and the profile's O(1) detunings at base
-        # frequency omega_1 are too far apart in scale for float64
-        raise DoubletNotResolvedError(
-            f"doublet not resolved for {m} -> {n}: partitioning failed in "
-            f"float64 ({exc}); J = {template.coupling_scale!r} and the "
-            f"detunings at omega_1 = {base!r} are too far apart in scale"
-        ) from exc
+        # that underflow
+        raise _scale_refusal(m, n, template, exc) from exc
 
     # +1 when the symmetric combination (|m>+|n>)/sqrt2 is the top level
     sign = 1 if top[0] * top[1] > 0.0 else -1
@@ -340,6 +325,11 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
             "cannot time this transfer (increase the coupling or pick a "
             "closer pair)"
         )
+    lambda_plus, lambda_minus = omega + x_hi, omega + x_lo
+    predicted_peak = (abs(top[0] * top[1]) + abs(bottom[0] * bottom[1])) ** 2
+    # levels or amplitudes that overflow pass the two tests above as NaN or inf
+    if not all(map(math.isfinite, (lambda_plus, lambda_minus, purity, predicted_peak))):
+        raise _scale_refusal(m, n, template, "a doublet level or amplitude is not finite")
     if purity < _PURITY_WARN:
         warnings.warn(
             f"transfer plan {m} -> {n} has doublet purity {purity:.4f} "
@@ -348,15 +338,13 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
             stacklevel=2,
         )
 
-    predicted_peak = (abs(top[0] * top[1]) + abs(bottom[0] * bottom[1])) ** 2
-
     return TransferPlan(
         source=m,
         target=n,
         frequencies=freqs,
         coupling_scale=template.coupling_scale,
-        lambda_plus=omega + x_hi,
-        lambda_minus=omega + x_lo,
+        lambda_plus=lambda_plus,
+        lambda_minus=lambda_minus,
         doublet_purity=purity,
         plus_overlap_sign=sign,
         predicted_peak=predicted_peak,
@@ -405,7 +393,7 @@ def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
     alpha = complex(alpha)
     beta = complex(beta)
     norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if not abs(norm - 1.0) <= 1e-10:
+    if not abs(norm - 1.0) <= _NORM_TOL:
         raise ConfigError(
             f"qubit amplitudes not normalized: |alpha|^2 + |beta|^2 = {norm!r}"
         )

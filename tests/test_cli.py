@@ -381,10 +381,12 @@ def test_refusals_print_one_line(tmp_path, capsys):
     ]
     # valid configs whose partitioning float64 cannot carry (a level on an
     # exact pole at large C, underflow at tiny J, a negative norm at J far
-    # above C) or whose squared bonds overflow: refused (3), not crashed on
+    # above C, a NaN purity or an infinite level at huge J) or whose squared
+    # bonds overflow: refused (3), not crashed on nor taken for a bad config
     for k, (n_sites, m, n, base, coupling) in enumerate((
             (6, 1, 3, 1e18, 0.0013), (10, 8, 10, 1e15, 0.0013), (6, 2, 4, 1.0, 1e-100),
-            (3, 1, 3, 1e-10, 1e16), (7, 4, 7, 1.0, 1e200))):
+            (3, 1, 3, 1e-10, 1e16), (7, 4, 7, 1.0, 1e200), (2, 1, 2, 1.0, 1e200),
+            (4, 1, 4, 1.0, 1e131))):
         config = tmp_path / f"extreme{k}.json"
         config.write_text(json.dumps({"n_sites": n_sites, "J": coupling, "frequencies": {
             "preset": "switching", "C": base, "m": m, "n": n}}))

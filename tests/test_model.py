@@ -255,7 +255,7 @@ def test_switching_profile_rejections():
         switching_frequencies(-1.0, 1, 3, 6)
 
 
-def test_config_from_dict_explicit_and_presets():
+def test_config_and_pair_explicit_and_presets():
     cfg = config_and_pair({"n_sites": 3, "frequencies": [1.0, 2.0, 3.0],
                            "J": 0.5})[0]
     np.testing.assert_array_equal(cfg.frequencies, [1.0, 2.0, 3.0])
@@ -272,13 +272,13 @@ def test_config_from_dict_explicit_and_presets():
     np.testing.assert_allclose(sw.frequencies, [1.0, 1.5, 1.0, -0.5, -3.0, -6.5])
 
 
-def test_config_from_dict_default_base():
+def test_config_and_pair_default_base():
     cfg = config_and_pair({"n_sites": 3,
                            "frequencies": {"preset": "resonant"}, "J": 0.1})[0]
     np.testing.assert_allclose(cfg.frequencies, 1.0)
 
 
-def test_config_from_dict_rejections():
+def test_config_and_pair_rejections():
     with pytest.raises(ConfigError):
         config_and_pair({"n_sites": 3, "frequencies": [1, 1, 1]})  # missing J
     with pytest.raises(ConfigError):

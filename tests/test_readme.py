@@ -122,7 +122,8 @@ def test_config_key_table_matches_schema():
 
 def test_module_table_names_resolve():
     # every backticked name in a row of the "| module | contents |" table is
-    # an attribute of gfsim or of the module that row names
+    # an attribute of gfsim or of the module that row names, and every name
+    # in that module's __all__ is backticked in its row
     import importlib
 
     import gfsim
@@ -134,9 +135,12 @@ def test_module_table_names_resolve():
     for row in table.group(1).splitlines():
         module, contents = row.strip("|").split("|", 1)
         mod = importlib.import_module(f"gfsim.{module.strip().strip('`')}")
-        for name in re.findall(r"`([^`]+)`", contents):
+        names = re.findall(r"`([^`]+)`", contents)
+        for name in names:
             assert name.isidentifier(), (module, name)
             assert hasattr(gfsim, name) or hasattr(mod, name), (module.strip(), name)
+        missing = set(getattr(mod, "__all__", ())) - set(names)
+        assert not missing, (module.strip(), sorted(missing))
         rows += 1
     assert rows == 7
 
