@@ -13,9 +13,12 @@ integrate_master is classical fixed-step RK4 evaluated per eigenmode of H:
 k steps multiply each mode by R(dt*mu)^k (_rk4_stack). Its 16 checkpoints
 and the dt/2 rerun that verifies it by step halving are one batched
 evaluation: one log R per step size and mode, then exp(k log R) for each
-row's step count k. One function checks the subspace invariants (trace,
-Hermiticity, positivity) on the whole stack, which the run returns as one
-read-only array.
+row's step count k.
+
+One function, _check_states, checks the subspace invariants (Hermiticity,
+unit trace, positivity): on every DensityMatrix as it is constructed, so a
+state is valid by type, and on integrate_master's checkpoint stack at once,
+which the run returns as one read-only array.
 
 The dissipation study does not integrate: with jumps |vac><k| only, the
 evolution of a single excitation factorizes exactly (no-jump picture), and
@@ -56,11 +59,12 @@ _CHECKPOINT_COUNT = 16
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """(N+1) x (N+1) density matrix over {vacuum, sites 1..N}.
+    """(N+1) x (N+1) density matrix over {vacuum, sites 1..N}, valid by type.
 
-    Construction enforces shape and Hermiticity (1e-10); trace and
-    positivity are checked by validate(), which integrate_master calls on
-    its initial state (its checkpoints are checked as one stack).
+    Construction refuses a non-square or non-finite matrix (ConfigError) and
+    hands Hermiticity (1e-10), unit trace (1e-8) and positivity (-1e-8) to
+    _check_states, the checker integrate_master runs on its checkpoints
+    (NumericalInvariantError).
     """
 
     matrix: np.ndarray
@@ -71,11 +75,7 @@ class DensityMatrix:
             raise ConfigError(f"density matrix must be square, got shape {rho.shape}")
         if not np.all(np.isfinite(rho.view(float))):
             raise ConfigError("density matrix entries must be finite")
-        defect = float(np.max(np.abs(rho - rho.conj().T)))
-        if defect > _HERM_TOL:
-            raise ConfigError(
-                f"density matrix not Hermitian: max|rho - rho^dag| = {defect:.3e}"
-            )
+        _check_states(rho[None])
         object.__setattr__(self, "matrix", _readonly(rho))
 
     @classmethod
@@ -83,20 +83,11 @@ class DensityMatrix:
         psi = state.amplitudes
         return cls(np.outer(psi, psi.conj()))
 
-    def trace_defect(self) -> float:
-        return abs(float(np.trace(self.matrix).real) - 1.0)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def validate(self, context: str = "") -> None:
-        _check_states(self.matrix[None], lambda i: context)
-
-
-def _check_states(stack: np.ndarray, where) -> None:
+def _check_states(stack: np.ndarray, where=None) -> None:
     """Hermiticity (1e-10), trace (1e-8) and positivity (-1e-8) of every
     state in a (k, N+1, N+1) stack; the earliest failing row raises, with
-    where(row) naming it in the message.
+    where(row), if given, naming it in the message.
 
     Every comparison is `not x <= tol`, so NaN from an overflowing step
     fails.
@@ -112,8 +103,7 @@ def _check_states(stack: np.ndarray, where) -> None:
     if not failing.size:
         return
     i = failing[0]
-    context = where(i)
-    suffix = f" {context}" if context else ""
+    suffix = f" {where(i)}" if where else ""
     if not hermitian[i]:
         raise NumericalInvariantError(
             f"Hermiticity defect {herm[i]:.3e} exceeds {_HERM_TOL:.0e}{suffix}"
@@ -207,12 +197,14 @@ def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
 
     The step is shrunk slightly so an integer number of steps lands exactly
     on t_end. A HamiltonianMatrix is used as checked; an array must pass as
-    one (ConfigError otherwise). Subspace invariants (trace 1e-8, Hermiticity 1e-10, smallest
-    eigenvalue >= -1e-8) are enforced at 16 evenly spaced checkpoint times; a
-    violation aborts with the measured defect at the earliest failing
-    checkpoint (step too large). The run is repeated at dt/2 and the final
-    states must agree to 1e-8. The checkpoints and the dt/2 run are one
-    batched evaluation (_rk4_stack).
+    one (ConfigError otherwise). rho0 is valid by type: a raw array is made
+    a DensityMatrix first, whose construction checks it. The same subspace
+    invariants (Hermiticity 1e-10, trace 1e-8, smallest eigenvalue
+    >= -1e-8) are enforced at 16 evenly spaced checkpoint times; a violation
+    aborts with the measured defect at the earliest failing checkpoint (step
+    too large). The run is repeated at dt/2 and the final states must agree
+    to 1e-8. The checkpoints and the dt/2 run are one batched evaluation
+    (_rk4_stack).
     """
     if not isinstance(rho0, DensityMatrix):
         rho0 = DensityMatrix(np.asarray(rho0))
@@ -231,7 +223,6 @@ def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
             f"density matrix shape {rho0.matrix.shape} does not match "
             f"{h.dim} sites"
         )
-    rho0.validate("in initial state")
     if t_end == 0.0:
         return MasterRun(rho0, np.zeros(1), rho0.matrix[None], dt, 0, 0.0,
                          True)

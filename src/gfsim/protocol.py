@@ -257,16 +257,6 @@ def _partitioned_doublet(shifted: np.ndarray, bonds: np.ndarray, lo: int, hi: in
     return level(1), level(-1)
 
 
-def _scale_refusal(m: int, n: int, template: ArrayConfig, why) -> DoubletNotResolvedError:
-    """Refusal of an m -> n plan whose partitioning float64 cannot carry: J
-    and the profile's O(1) detunings at base frequency omega_1 are too far
-    apart in scale."""
-    return DoubletNotResolvedError(
-        f"doublet not resolved for {m} -> {n}: partitioning failed in float64 "
-        f"({why}); J = {template.coupling_scale!r} and the detunings at "
-        f"omega_1 = {float(template.frequencies[0])!r} are too far apart in scale")
-
-
 def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
     """Design the m -> n transfer for an array like `template`.
 
@@ -282,12 +272,14 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
     These measured values, with the sites and the profile, are all the plan
     is given: TransferPlan derives theta, lambda_mean, t* and eta* from them.
 
-    Refuses (DoubletNotResolvedError) when float64 cannot carry the
+    The gates run in this order, each on values the one before has passed.
+    Refuses (DoubletNotResolvedError) first when float64 cannot carry the
     partitioning (a level on an exact pole, amplitudes that underflow, a
-    level or amplitude that is not finite), below purity 0.9, and when the
+    level or amplitude that is not finite), so purity and splitting are only
+    ever read off finite values; then below purity 0.9; then when the
     splitting 2*theta is below 1e3 * eps * ||H|| (too narrow for the float64
-    propagation of the plan to time to 1e-3); warns (DoubletPurityWarning)
-    in [0.9, 0.99).
+    propagation of the plan to time to 1e-3). Last, it warns
+    (DoubletPurityWarning) in [0.9, 0.99).
     """
     base = float(template.frequencies[0])
     lo, hi = (m, n) if m < n else (n, m)
@@ -297,10 +289,17 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
     try:
         (x_hi, *top), (x_lo, *bottom) = _partitioned_doublet(freqs - omega, bonds,
                                                              lo - 1, hi - 1)
+        lambda_plus, lambda_minus = omega + x_hi, omega + x_lo
+        if not all(map(math.isfinite, (lambda_plus, lambda_minus, *top, *bottom))):
+            raise ValueError("a doublet level or amplitude is not finite")
     except (ZeroDivisionError, ValueError) as exc:
-        # a level on an exact pole of a side chain, or doublet amplitudes
-        # that underflow
-        raise _scale_refusal(m, n, template, exc) from exc
+        # a level on an exact pole of a side chain, doublet amplitudes that
+        # underflow, or levels or amplitudes that overflow: J and the
+        # profile's O(1) detunings at omega_1 are too far apart in scale
+        raise DoubletNotResolvedError(
+            f"doublet not resolved for {m} -> {n}: partitioning failed in float64 "
+            f"({exc}); J = {template.coupling_scale!r} and the detunings at "
+            f"omega_1 = {base!r} are too far apart in scale") from exc
 
     # +1 when the symmetric combination (|m>+|n>)/sqrt2 is the top level
     sign = 1 if top[0] * top[1] > 0.0 else -1
@@ -325,11 +324,6 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
             "cannot time this transfer (increase the coupling or pick a "
             "closer pair)"
         )
-    lambda_plus, lambda_minus = omega + x_hi, omega + x_lo
-    predicted_peak = (abs(top[0] * top[1]) + abs(bottom[0] * bottom[1])) ** 2
-    # levels or amplitudes that overflow pass the two tests above as NaN or inf
-    if not all(map(math.isfinite, (lambda_plus, lambda_minus, purity, predicted_peak))):
-        raise _scale_refusal(m, n, template, "a doublet level or amplitude is not finite")
     if purity < _PURITY_WARN:
         warnings.warn(
             f"transfer plan {m} -> {n} has doublet purity {purity:.4f} "
@@ -347,7 +341,7 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
         lambda_minus=lambda_minus,
         doublet_purity=purity,
         plus_overlap_sign=sign,
-        predicted_peak=predicted_peak,
+        predicted_peak=(abs(top[0] * top[1]) + abs(bottom[0] * bottom[1])) ** 2,
     )
 
 

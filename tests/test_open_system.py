@@ -68,21 +68,23 @@ def lossy_pure_state_oracle(psi0, spec, gamma, t):
 
 
 def test_density_matrix_validation():
+    # a state is valid by type: construction itself refuses a bad shape or a
+    # non-finite entry (ConfigError) and a matrix that is not Hermitian, not
+    # of unit trace or not positive (NumericalInvariantError)
     rho = DensityMatrix.from_state(single_photon_state(3, 2))
     assert rho.matrix.shape == (4, 4)
-    assert rho.trace_defect() <= 1e-15
-    assert rho.min_eigenvalue() >= -1e-15
-    rho.validate("fresh state")
+    assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-15
+    assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-15
     with pytest.raises(ConfigError):
         DensityMatrix(np.ones((2, 3)))
-    with pytest.raises(ConfigError):
-        DensityMatrix(np.array([[0.5, 1j], [2j, 0.5]]))   # not hermitian
+    with pytest.raises(NumericalInvariantError, match="Hermiticity defect"):
+        DensityMatrix(np.array([[0.5, 1j], [2j, 0.5]]))
     bad_trace = np.diag([0.9, 0.6]).astype(complex)
-    with pytest.raises(NumericalInvariantError):
-        DensityMatrix(bad_trace).validate("trace check")
+    with pytest.raises(NumericalInvariantError, match="trace drift"):
+        DensityMatrix(bad_trace)
     not_psd = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
-    with pytest.raises(NumericalInvariantError):
-        DensityMatrix(not_psd).validate("positivity check")
+    with pytest.raises(NumericalInvariantError, match="negative population"):
+        DensityMatrix(not_psd)
     with pytest.raises(ConfigError, match="entries must be finite"):
         DensityMatrix(np.array([[0.5, 0.0], [0.0, np.nan]]))
 
@@ -377,10 +379,10 @@ def test_integrator_checkpoint_invariants():
     assert run.times[-1] == pytest.approx(400.0)
     vac = []
     for matrix in run.states:
-        state = DensityMatrix(matrix)
-        assert state.trace_defect() <= 1e-8
-        assert state.min_eigenvalue() >= -1e-8
-        vac.append(state.matrix[0, 0].real)
+        assert np.max(np.abs(matrix - matrix.conj().T)) <= 1e-10
+        assert abs(np.trace(matrix).real - 1.0) <= 1e-8
+        assert np.linalg.eigvalsh(matrix)[0] >= -1e-8
+        vac.append(matrix[0, 0].real)
     # vacuum population only ever grows under pure loss
     assert all(b >= a - 1e-12 for a, b in zip(vac, vac[1:]))
 
@@ -453,8 +455,9 @@ def test_integrator_names_the_earliest_failing_checkpoint():
     log_g = 2e-8 / 7.5
     # |R(iy)|^2 = 1 + (y^6 / 72)(y^2 / 8 - 1), to first order past y^2 = 8
     dt = math.sqrt(8.0 * (1.0 + 2.0 * log_g * 72.0 / 512.0))
-    lowest = [DensityMatrix(m).min_eigenvalue() for m in
-              explicit_checkpoints(rho0.matrix, h, 0.0, dt, range(1, 17))]
+    states = explicit_checkpoints(rho0.matrix, h, 0.0, dt, range(1, 17))
+    assert all(np.max(np.abs(m - m.conj().T)) <= 1e-10 for m in states)
+    lowest = [np.linalg.eigvalsh(m)[0] for m in states]
     assert all(-1e-8 < ev for ev in lowest[:7])
     assert all(ev < -1e-8 for ev in lowest[7:])
     with pytest.raises(NumericalInvariantError,
@@ -494,14 +497,19 @@ def test_integrator_input_validation():
 ], ids=["trace2", "negative", "huge"])
 @pytest.mark.parametrize("t_end", [1.0, 0.0])
 def test_integrator_refuses_an_invalid_initial_state(diagonal, t_end):
-    # the initial state is checked before any step, so the run refuses it
-    # whether or not it steps, and without a floating-point warning
+    # an invalid state is refused before any step, whether or not the run
+    # would step, and without a floating-point warning: as a DensityMatrix it
+    # cannot be constructed, and integrate_master makes a raw array one first.
+    # The message ends at its bound, without a checkpoint's "at t = ...".
     h = build_hamiltonian(resonant_template(3))
-    rho0 = DensityMatrix(np.diag(np.array(diagonal, dtype=complex)))
+    matrix = np.diag(np.array(diagonal, dtype=complex))
+    refusal = r"(exceeds 1e-08|below -1e-08)$"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalInvariantError, match="in initial state$"):
-            integrate_master(rho0, h, 0.1, t_end, 1e-2)
+        with pytest.raises(NumericalInvariantError, match=refusal):
+            DensityMatrix(matrix)
+        with pytest.raises(NumericalInvariantError, match=refusal):
+            integrate_master(matrix, h, 0.1, t_end, 1e-2)
 
 
 def test_state_fidelity_basics():

@@ -192,7 +192,12 @@ def test_unresolvable_doublet_is_refused():
 # C) raised ZeroDivisionError or ValueError; squared bonds that overflow
 # raised a numpy warning (filterwarnings = error) before their refusal.
 # Amplitude squares that overflow (a NaN purity) and a level past float
-# range reached TransferPlan's field checks as a ConfigError.
+# range reached TransferPlan's field checks as a ConfigError. The last four
+# have NaN doublet amplitudes, beside a finite symmetric overlap in the first
+# two: the finiteness gate must come before the purity and splitting gates,
+# or they are refused as "purity 0.6220 < 0.9", "purity 0.8249 < 0.9" and
+# splitting, values float64 did not measure.
+NOT_FINITE = r"partitioning failed in float64 \(a doublet level or amplitude is not finite\)"
 EXTREME_SCALES = [
     (6, 1, 3, 1e18, 0.0013, "for 1 -> 3: partitioning failed in float64"),
     (10, 8, 10, 1e15, 0.0013, "for 8 -> 10: partitioning failed in float64"),
@@ -201,6 +206,10 @@ EXTREME_SCALES = [
     (7, 4, 7, 1.0, 1e200, "levels of sites 4 and 7 do not settle"),
     (2, 1, 2, 1.0, 1e200, "for 1 -> 2: partitioning failed in float64"),
     (4, 1, 4, 1.0, 1e131, "for 1 -> 4: partitioning failed in float64"),
+    (3, 2, 1, 2.750647340889271e-41, 1.160038332294931e+84, NOT_FINITE),
+    (3, 2, 3, 1.53927493052129e-117, 3.1485532531932503e+100, NOT_FINITE),
+    (2, 2, 1, 1.99859684446354e+288, 2.6130656963674115e+216, NOT_FINITE),
+    (2, 1, 2, 6.038324756280235e+297, 1.7010019728502907e+208, NOT_FINITE),
 ]
 
 
