@@ -7,13 +7,12 @@ up). The eigenvectors are real (no bond phase in H; see model), and each
 HamiltonianMatrix's spectrum is computed once.
 
 Every amplitude comes from one kernel, sum_k V[target, k] c_k e^{-i lambda_k t}:
-transfer_amplitude takes c = V[initial, :], evolve c = V^T psi.
-The long uniform sweeps the protocols are read from (omega_1 t* ~ 1e4-1e11)
-get their phases by blocked angle addition, about 2 sqrt(T) N complex exps
-instead of T N, when the grid itself passes a 4 eps split test; each phase
-is then within a few eps max|lambda| max|t|, the order of the direct route's
-own rounding of lambda t. Other times (lists, single times) take the
-direct exp, bit for bit.
+transfer_amplitude takes c = V[initial, :], evolve c = V^T psi. It splits
+each time grid once as t[aB + b] = coarse[a] + offsets[b] and contracts one
+exp table per factor: a uniform sweep (omega_1 t* ~ 1e4-1e11) takes
+B = ceil(sqrt(T)), about 2 sqrt(T) N complex exps instead of T N; any other
+grid (lists, single times) splits as (t, [0.0]), the plain
+exp(t (x) -i lambda) sum, bit for bit.
 """
 
 from __future__ import annotations
@@ -128,17 +127,20 @@ def decompose(hamiltonian: HamiltonianMatrix) -> SpectralDecomposition:
     return _derived(hamiltonian, "_spectrum", _eigensystem)
 
 
-def _block_size(t: np.ndarray, t_max: float) -> int:
-    """B = ceil(sqrt(T)) when a 1-d grid of T times is uniform enough that
-    t[aB] + (t[b] - t[0]) lands within 4 eps t_max (t_max = max|t|) of
-    t[aB+b] for every index, and when B cuts the exp count
-    (ceil(T/B) + B < T); otherwise 1."""
+def _split(t: np.ndarray, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """(coarse, offsets) with t[aB + b] = coarse[a] + offsets[b] for every
+    index of the 1-d grid t (t_max = max|t|). They are t[::B] and
+    t[:B] - t[0], B = ceil(sqrt(T)), when that lands within 4 eps t_max of
+    every t[aB + b] and cuts the exp count (ceil(T/B) + B < T); otherwise
+    (t, [0.0]): non-uniform grids, fewer than 6 times, one time."""
     size = t.size
     block = math.isqrt(size - 1) + 1 if size else 1
-    if -(-size // block) + block >= size:
-        return 1
-    split = (t[::block, None] + (t[:block] - t[0])).ravel()[:size]
-    return block if np.abs(split - t).max() <= 4.0 * _EPS * t_max else 1
+    if -(-size // block) + block < size:
+        coarse, offsets = t[::block], t[:block] - t[0]
+        split = (coarse[:, None] + offsets).ravel()[:size]
+        if np.abs(split - t).max() <= 4.0 * _EPS * t_max:
+            return coarse, offsets
+    return t, np.zeros(1)
 
 
 def _mode_sum(rows: np.ndarray, coeffs: np.ndarray, eigenvalues: np.ndarray,
@@ -146,18 +148,15 @@ def _mode_sum(rows: np.ndarray, coeffs: np.ndarray, eigenvalues: np.ndarray,
     """sum_k rows[..., k] coeffs[k] e^{-i lambda_k t} for each t of a 1-d
     array: shape (t.size,) + rows.shape[:-1].
 
-    On a uniform grid the phases come by blocked angle addition: with B from
-    _block_size, e^{-i lambda t[aB+b]} = e^{-i lambda t[aB]} e^{-i lambda
-    (t[b] - t[0])}, one exp table over t[::B] and one over t[:B] - t[0], so
-    about 2 sqrt(T) N complex exps instead of T N. Each phase is then off by
-    a few eps max|lambda| max|t| (the 4 eps split test plus the rounding of
-    both arguments), the order of the direct route's own rounding of
-    lambda t. Any other input (non-uniform, fewer than 6 times, one time)
-    has B = 1 and takes the direct exp(t (x) -i lambda), byte for byte.
-
-    The weights are real (real eigenvectors). einsum, not a BLAS mat-vec,
-    sums in one thread and one order under any BLAS build, the same for a
-    row alone or in a stack.
+    One route: with t[aB + b] = coarse[a] + offsets[b] from _split, one exp
+    table per factor, the weights rows * coeffs folded into the offset table,
+    and one einsum over k, not a BLAS mat-vec, so each row sums in one thread
+    and one order under any BLAS build, alone or in a stack. A uniform grid's
+    phases are each off by a few eps max|lambda| max|t| (the 4 eps split test
+    plus the rounding of both arguments), the order of the rounding of lambda
+    t itself; any other grid has offsets [0.0], an offset table of exact
+    ones, and the sum is the plain exp(t (x) -i lambda) contraction, byte
+    for byte.
 
     max|t| is taken once: a NaN or infinite time raises ConfigError, and
     since rounding lambda t alone costs up to eps max|lambda| max|t| rad,
@@ -173,14 +172,13 @@ def _mode_sum(rows: np.ndarray, coeffs: np.ndarray, eigenvalues: np.ndarray,
         raise NumericalInvariantError(
             f"phases e^(-i lambda t) unresolved in float64: eps*max|lambda|*max|t| "
             f"= {phase_error:.3e} rad > 1")
-    weights = rows * coeffs
+    coarse, offsets = _split(t, t_max)
     rate = -1j * eigenvalues
-    block = _block_size(t, t_max)
-    phases = np.exp(np.multiply.outer(t[::block], rate))
-    if block > 1:
-        fine = np.exp(np.multiply.outer(t[:block] - t[0], rate))
-        phases = (phases[:, None, :] * fine).reshape(-1, rate.size)[:t.size]
-    return np.einsum("tk,...k->t...", phases, weights)
+    weights = rows * coeffs
+    fine = weights[..., None, :] * np.exp(np.multiply.outer(offsets, rate))
+    amps = np.einsum("ak,...bk->ab...", np.exp(np.multiply.outer(coarse, rate)), fine)
+    # explicit sizes: a -1 is ambiguous when the target list is empty
+    return amps.reshape((coarse.size * offsets.size,) + weights.shape[:-1])[:t.size]
 
 
 def evolve(state: ExcitationState, spec: SpectralDecomposition, t: float) -> ExcitationState:

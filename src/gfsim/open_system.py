@@ -256,8 +256,9 @@ def sample_qubit_states(samples: int, seed) -> tuple[np.ndarray, np.ndarray]:
     alpha = cos(theta/2) real >= 0 with cos(theta) uniform on [-1, 1];
     beta = e^{i phi} sin(theta/2) with phi uniform on [0, 2 pi).
     """
-    if not _is_integer(samples) or samples < 1:
-        raise ConfigError(f"samples must be an integer >= 1, got {samples!r}")
+    for name, value, low in (("samples", samples, 1), ("seed", seed, 0)):
+        if not _is_integer(value) or value < low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
     rng = np.random.default_rng(seed)
     cos_t = rng.uniform(-1.0, 1.0, int(samples))
     phi = rng.uniform(0.0, 2.0 * math.pi, int(samples))
@@ -325,7 +326,8 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
     beta = np.asarray(beta, dtype=complex).ravel()
     if alpha.shape != beta.shape or alpha.size == 0:
         raise ConfigError("alpha and beta must be non-empty and of equal length")
-    a2, b2 = np.abs(alpha) ** 2, np.abs(beta) ** 2
+    with np.errstate(over="ignore"):        # an overflowing norm is refused
+        a2, b2 = np.abs(alpha) ** 2, np.abs(beta) ** 2
     if not np.max(np.abs(a2 + b2 - 1.0)) <= _NORM_TOL:
         raise ConfigError("states must be normalized qubit amplitudes")
     n_samp = alpha.shape[0]

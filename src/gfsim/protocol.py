@@ -384,15 +384,14 @@ def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
     closed_form is the two-level doublet-model prediction computed from the
     plan fields alone, an independent cross-check of the numerics.
     """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if not abs(norm - 1.0) <= _NORM_TOL:
+    try:
+        a2, b2 = abs(complex(alpha)) ** 2, abs(complex(beta)) ** 2
+    except OverflowError:       # a magnitude past sqrt(float max)
+        a2 = b2 = math.inf
+    if not abs(a2 + b2 - 1.0) <= _NORM_TOL:
         raise ConfigError(
-            f"qubit amplitudes not normalized: |alpha|^2 + |beta|^2 = {norm!r}"
-        )
+            f"qubit amplitudes not normalized: |alpha|^2 + |beta|^2 = {a2 + b2!r}")
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
-    a2, b2 = abs(alpha) ** 2, abs(beta) ** 2
     numeric = _register_fidelity(a2, b2, _arrival_amplitude(plan, t_arr, eta))
 
     # the doublet amplitude -i s e^{-i phi} sin(theta t), phi = lambda_mean t +

@@ -295,6 +295,13 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(["qubit", "--preset", "fig4", "--alpha", "nan", "--beta", "1",
                     "--times", "1,2"]) == 2
     assert run_cli(["qubit", "--preset", "fig4", "--eta", "nan"]) == 2   # no phase
+    # so do amplitudes whose squares overflow, with no traceback
+    for beta in ("0", "1e155j"):
+        assert run_cli(["qubit", "--preset", "fig4", "--alpha", "1e200",
+                        "--beta", beta]) == 2
+        assert "qubit amplitudes not normalized" in capsys.readouterr().err
+    assert run_cli(["dissipation", "--preset", "fig5", "--seed", "-1"]) == 2
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
     assert run_cli(["resonant-walk", "--preset", "fig2"]) == 2        # wrong preset
     assert run_cli(["transfer", "--config", "/no/such/file.json"]) == 2
     assert run_cli(["spectrum"]) == 2                                 # nothing given

@@ -13,8 +13,8 @@ from gfsim.model import ArrayConfig, build_hamiltonian, config_and_pair, \
     switching_frequencies
 from gfsim.dynamics import (
     ExcitationState,
-    _block_size,
     _mode_sum,
+    _split,
     decompose,
     evolve,
     qubit_state,
@@ -350,7 +350,7 @@ def test_multi_target_equals_single_target_calls_bitwise():
         initial = int(rng.integers(1, n + 1))
         targets = [*range(1, n + 1), n, 1]        # repeats are allowed
         for t in (rng.uniform(0.0, 1e4, 2001), np.linspace(0.0, 1e6, 2001),
-                  rng.uniform(-50.0, 50.0, (3, 7)), 4.2):
+                  rng.uniform(-50.0, 50.0, (3, 7)), 4.2, np.array([])):
             multi = transfer_amplitude(initial, targets, spec, t)
             assert multi.shape == np.shape(t) + (len(targets),)
             for col, target in enumerate(targets):
@@ -358,6 +358,12 @@ def test_multi_target_equals_single_target_calls_bitwise():
                 assert multi[..., col].tobytes() == single.tobytes(), (n, target)
     probs = transfer_probability(1, np.array([1, 2]), spec, [0.5, 1.5])
     assert probs.shape == (2, 2)
+    # empty grids and an empty target array keep their shapes
+    empty = np.array([])
+    assert transfer_amplitude(1, 2, spec, empty).shape == (0,)
+    assert transfer_amplitude(1, [1, 2, 3], spec, empty).shape == (0, 3)
+    assert transfer_amplitude(1, np.array([], int), spec,
+                              np.linspace(0.0, 1e4, 50)).shape == (50, 0)
 
 
 def _fig3b_spectrum():
@@ -367,12 +373,13 @@ def _fig3b_spectrum():
 
 @pytest.mark.parametrize("t_max", [1e2, 1e4, 1e6, 1e8])
 def test_block_route_matches_high_precision(t_max):
-    # Uniform grids take the blocked angle addition e^{-i lambda t[aB]}
-    # e^{-i lambda (t[b] - t[0])}. Error per phase, in eps |lambda| max|t|:
-    # 4 from the split test, 1/2 from its own sum's rounding, 1/2 and 1 from
-    # rounding lambda t[aB] and lambda (t[b] - t[0]) (|t[b] - t[0]| <=
-    # 2 max|t|): 6 in all; two exps and a complex product add ~6 eps. An
-    # amplitude adds the weights' product (2 eps) and N - 1 = 5 additions
+    # Uniform grids split as t[aB + b] = t[aB] + (t[b] - t[0]), so each
+    # phase is e^{-i lambda t[aB]} e^{-i lambda (t[b] - t[0])}. Error per
+    # phase, in eps |lambda| max|t|: 4 from the split test, 1/2 from its
+    # own sum's rounding, 1/2 and 1 from rounding lambda t[aB] and lambda
+    # (t[b] - t[0]) (|t[b] - t[0]| <= 2 max|t|): 6 in all; two exps and a
+    # complex product add ~6 eps. An amplitude adds the weights' products
+    # with coeffs and with the offset table (2 eps) and N - 1 = 5 additions
     # against sum |w_k| <= 1: 6 eps (1 + |lambda| max|t|) + 7 eps, under
     # c = 16. The reference is 50-digit mpmath at the float times,
     # eigenvalues and eigenvectors, so only the kernel is measured.
@@ -387,7 +394,11 @@ def test_block_route_matches_high_precision(t_max):
                 for k in range(lam.size)]
         for size in (17, 401, 2001):
             t = np.linspace(0.0, t_max, size)
-            assert _block_size(t, t_max) > 1, size
+            coarse, offsets = _split(t, t_max)
+            assert offsets.size > 1, size
+            # coarse[a] + offsets[b] reproduces every time within the split test
+            split = (coarse[:, None] + offsets).ravel()[:size]
+            assert np.max(np.abs(split - t)) <= 4.0 * np.finfo(float).eps * t_max
             bound = c * np.finfo(float).eps * (1.0 + np.max(np.abs(lam)) * t_max)
             phases = _mode_sum(np.eye(lam.size), np.ones(lam.size), lam, t)
             amps = transfer_amplitude(m, n, spec, t)
@@ -402,24 +413,30 @@ def test_block_route_matches_high_precision(t_max):
 
 
 def test_direct_route_is_bitwise_the_plain_formula():
-    # non-uniform, short, scalar and shaped non-uniform times take the direct
-    # exp(t (x) -i lambda) with the same einsum, byte for byte
+    # non-uniform, short, scalar and shaped non-uniform times split as
+    # (t, [0.0]), and the contraction is the plain exp(t (x) -i lambda) einsum,
+    # byte for byte, for one row and for a stack of rows (as evolve calls it)
     spec = _fig3b_spectrum()
     lam, vec = spec.eigenvalues, spec.eigenvectors
     rng = np.random.default_rng(17)
     weights = vec[3] * np.conj(vec[1])
+    psi = [1.0, 1j] @ np.random.default_rng(19).normal(size=(2, lam.size))
+    coeffs = np.einsum("jk,j->k", vec, psi / np.linalg.norm(psi))
     for t in (np.sort(rng.uniform(0.0, 1e6, 401)), np.linspace(0.0, 1e6, 4), 4.2e5,
               rng.uniform(0.0, 1e5, (3, 7)),
               np.append(np.linspace(0.0, 1e6, 2001), 3.3e5)):
         flat = np.ravel(t)
-        assert _block_size(flat, np.abs(flat).max()) == 1
-        plain = np.einsum("tk,...k->t...", np.exp(np.multiply.outer(flat, -1j * lam)),
-                          weights)
+        coarse, offsets = _split(flat, np.abs(flat).max())
+        assert coarse.tobytes() == flat.tobytes() and offsets.tobytes() == bytes(8)
+        table = np.exp(np.multiply.outer(flat, -1j * lam))
+        plain = np.einsum("tk,...k->t...", table, weights)
         ours = transfer_amplitude(2, 4, spec, t)
         assert np.asarray(ours).tobytes() == plain.reshape(np.shape(t)).tobytes()
-    # the route reads the flattened times: a reshaped grid is its flat call
+        stack = np.einsum("tk,...k->t...", table, vec * coeffs)
+        assert _mode_sum(vec, coeffs, lam, flat).tobytes() == stack.tobytes()
+    # the split reads the flattened times: a reshaped grid is its flat call
     grid = np.linspace(0.0, 1e6, 21)
-    assert _block_size(grid, 1e6) > 1
+    assert _split(grid, 1e6)[1].size > 1
     assert transfer_amplitude(2, 4, spec, grid.reshape(3, 7)).tobytes() == \
         transfer_amplitude(2, 4, spec, grid).tobytes()
 
@@ -449,7 +466,7 @@ def test_multi_target_matches_brute_force_propagator(n, seed, t):
 def test_resonant_walk_columns_match_brute_force(tmp_path):
     # every p_k of the fig1 walk on a 401-point grid, against scipy's expm.
     # |dP| <= 2 |d amplitude| + |d amplitude|^2, and each amplitude carries
-    # the conditioning bound of the test above, for each of the two routes
+    # the conditioning bound of the test above, on either split of the grid
     out = tmp_path / "walk.csv"
     assert cli_main(["resonant-walk", "--preset", "fig1", "--grid", "0:84:401",
                      "--out", str(out)]) == 0

@@ -629,11 +629,19 @@ class TestAveragedFidelityStudy:
         for samples in (True, 2.0):
             with pytest.raises(ConfigError, match="must be an integer"):
                 sample_qubit_states(samples, 1)
-        # a NaN or inf norm fails the check too: it is `not <= tol`
+        # a seed is a non-negative integer, never None: every draw reproduces
+        for seed in (1.5, "a", -1, None, True):
+            with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+                sample_qubit_states(3, seed)
+        # a NaN, inf or overflowing norm fails the check too: it is
+        # `not <= tol`, and the squares overflow with no warning
         for bad in (([0.9, 0.9], [0.9, 0.1]), ([math.nan, 1.0], [1.0, 0.0]),
-                    ([1.0], [math.inf])):
+                    ([1.0], [math.inf]), ([1e200], [0.0])):
             with pytest.raises(ConfigError, match="normalized"):
                 average_transfer_fidelity(plan_13, np.array([0.0, 1e-3]), *bad)
+        for alpha, beta in ((1e200, 0.0), (0.0, 1e155j)):
+            with pytest.raises(ConfigError, match="not normalized"):
+                qubit_fidelity_curve(plan_13, alpha, beta, [1.0])
 
 
 def per_cell_scores(plan, gammas, alpha, beta):
