@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalInvariantError
-from .model import HamiltonianMatrix, _derived, _is_integer, _readonly
+from .model import (HamiltonianMatrix, _derived, _is_amplitude, _is_integer, _is_number_vector,
+                    _readonly)
 
 __all__ = [
     "ExcitationState",
@@ -38,6 +39,26 @@ __all__ = [
 
 _NORM_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
+
+
+def _qubit_weights(alpha, beta, ensemble: bool = False):
+    """(|alpha|^2, |beta|^2) of alpha|vac> + beta|site>: two numbers, or with
+    ensemble two non-empty 1-d lists or arrays of numbers of equal length.
+    Anything else is a ConfigError, as is a sum off 1 by more than _NORM_TOL:
+    NaN, or a component past 2, left unsquared so nothing overflows or warns."""
+    given = (alpha, beta) if ensemble else ([alpha], [beta])
+    if not (all(_is_number_vector(v, _is_amplitude, "iufc") and np.ndim(v) == 1 for v in given)
+            and len(given[0]) == len(given[1]) > 0):
+        what = "non-empty 1-d ensembles of numbers of equal length" if ensemble else "numbers"
+        raise ConfigError(f"qubit amplitudes must be {what}")
+    pair = [np.asarray(v, dtype=complex) if ensemble else complex(v[0]) for v in given]
+    big = any(np.any(abs(part) > 2.0) for z in pair for part in (z.real, z.imag))
+    a2, b2 = (math.inf, math.inf) if big else (abs(pair[0]) ** 2, abs(pair[1]) ** 2)
+    total = np.atleast_1d(a2 + b2)
+    worst = float(total[np.argmax(np.abs(total - 1.0))])
+    if not abs(worst - 1.0) <= _NORM_TOL:
+        raise ConfigError(f"qubit amplitudes not normalized: |alpha|^2 + |beta|^2 = {worst!r}")
+    return a2, b2
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ uniform bond phase eta is the gauge D H D^dag with D = diag(e^{-i k eta}),
 so it changes no population and enters an amplitude <n|U|m> only as the
 factor e^{-i (n-m) eta}, which the qubit score applies (protocol). Each
 immutable object computes what derives from it once (_derived): a config
-its Hamiltonian, a Hamiltonian its spectrum, a plan its config.
+its Hamiltonian, a Hamiltonian its spectrum (a plan holds its config).
 """
 
 from __future__ import annotations
@@ -64,14 +64,21 @@ def _is_real(value) -> bool:
             and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
 
 
-def _is_real_vector(values) -> bool:
-    """True for an int or float ndarray, on its dtype alone (shape and
-    finiteness are the caller's to check), or for a list or tuple of _is_real
-    numbers: a bool, string, nested or ragged element fails here before
-    numpy can cast it or raise."""
+def _is_amplitude(value) -> bool:
+    """True for a Python or numpy number, complex, NaN and inf included; bool,
+    numeric strings and ints past float range are not amplitudes."""
+    return (isinstance(value, (float, complex, np.number))
+            or _is_integer(value) and abs(value) <= sys.float_info.max)
+
+
+def _is_number_vector(values, is_number=_is_real, kinds: str = "iuf") -> bool:
+    """True for an ndarray of a dtype kind in kinds, on its dtype alone (shape
+    and finiteness are the caller's to check), or for a list or tuple of
+    is_number values: a bool, string, nested or ragged element fails here
+    before numpy can cast it or raise."""
     if isinstance(values, np.ndarray):
-        return values.dtype.kind in "iuf"
-    return isinstance(values, (list, tuple)) and all(map(_is_real, values))
+        return values.dtype.kind in kinds
+    return isinstance(values, (list, tuple)) and all(map(is_number, values))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -109,7 +116,7 @@ class ArrayConfig:
             raise ConfigError(f"n_sites must be >= 2 (chain degenerates), got {n}")
         object.__setattr__(self, "n_sites", int(n))
 
-        if not _is_real_vector(self.frequencies):
+        if not _is_number_vector(self.frequencies):
             raise ConfigError(
                 f"frequencies must be a list or array of numbers, got {self.frequencies!r}")
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -270,17 +277,16 @@ def config_and_pair(data: Mapping) -> tuple[ArrayConfig, tuple[int, int] | None]
     for key in data:
         if key not in _TOP_KEYS:
             raise ConfigError(f"unknown config field '{key}'")
-    n_raw = data.get("n_sites")
-    if not isinstance(n_raw, int) or isinstance(n_raw, bool):
-        raise ConfigError(f"config field 'n_sites' must be an integer, got {n_raw!r}")
-    if n_raw < 2:
-        raise ConfigError(f"n_sites must be >= 2 (chain degenerates), got {n_raw}")
-    n_sites = n_raw
+    n_sites = data.get("n_sites")
+    if not isinstance(n_sites, int) or isinstance(n_sites, bool):
+        raise ConfigError(f"config field 'n_sites' must be an integer, got {n_sites!r}")
+    if n_sites < 2:
+        raise ConfigError(f"n_sites must be >= 2 (chain degenerates), got {n_sites}")
 
     if "frequencies" not in data:
         raise ConfigError("config missing required field 'frequencies'")
     freq_spec = data["frequencies"]
-    pair = None
+    pair, frequencies = None, freq_spec     # ArrayConfig checks a list
     if isinstance(freq_spec, Mapping):
         for key in freq_spec:
             if key not in _PRESET_KEYS:
@@ -296,22 +302,12 @@ def config_and_pair(data: Mapping) -> tuple[ArrayConfig, tuple[int, int] | None]
             frequencies = np.full(n_sites, float(c))
         elif preset == "switching":
             pair = (freq_spec.get("m"), freq_spec.get("n"))
-            if not all(isinstance(site, int) for site in pair):
-                raise ConfigError(
-                    "frequency preset 'switching' requires integer 'm' and 'n'"
-                )
             frequencies = switching_frequencies(float(c), *pair, n_sites)
         else:
             raise ConfigError(
                 f"frequency preset must be 'resonant' or 'switching', got {preset!r}"
             )
-    elif isinstance(freq_spec, (list, tuple)):
-        if not all(map(_is_real, freq_spec)):
-            raise ConfigError(
-                f"config field 'frequencies' must list finite numbers, got {freq_spec!r}"
-            )
-        frequencies = freq_spec
-    else:
+    elif not isinstance(freq_spec, (list, tuple)):
         raise ConfigError(
             "config field 'frequencies' must be a list or a preset object, "
             f"got {type(freq_spec).__name__}"
@@ -319,7 +315,7 @@ def config_and_pair(data: Mapping) -> tuple[ArrayConfig, tuple[int, int] | None]
 
     return ArrayConfig(
         n_sites=n_sites,
-        frequencies=np.asarray(frequencies, dtype=float),
+        frequencies=frequencies,
         coupling_scale=float(_require_number(data, "J")),
     ), pair
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _NORM_TOL, ExcitationState, decompose
+from .dynamics import ExcitationState, _qubit_weights, decompose
 from .errors import ConfigError, NumericalInvariantError
 from .model import HamiltonianMatrix, _is_integer, _readonly
 from .protocol import TransferPlan, _arrival_amplitude, _register_fidelity
@@ -322,15 +322,7 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
         raise ConfigError("gamma_over_J must be a non-empty 1-d grid")
     if np.any(~np.isfinite(gammas)) or np.any(gammas < 0.0):
         raise ConfigError("gamma_over_J values must be finite and >= 0")
-    alpha = np.asarray(alpha, dtype=complex).ravel()
-    beta = np.asarray(beta, dtype=complex).ravel()
-    if alpha.shape != beta.shape or alpha.size == 0:
-        raise ConfigError("alpha and beta must be non-empty and of equal length")
-    with np.errstate(over="ignore"):        # an overflowing norm is refused
-        a2, b2 = np.abs(alpha) ** 2, np.abs(beta) ** 2
-    if not np.max(np.abs(a2 + b2 - 1.0)) <= _NORM_TOL:
-        raise ConfigError("states must be normalized qubit amplitudes")
-    n_samp = alpha.shape[0]
+    a2, b2 = _qubit_weights(alpha, beta, ensemble=True)
 
     t_star = plan.transfer_time
     a = _arrival_amplitude(plan, t_star)
@@ -342,6 +334,6 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
     lost = np.array([[math.expm1(-x)] for x in gamma_t])
     fids = _register_fidelity(a2, b2, a, half, lost)
     means = np.mean(fids, axis=1)
-    errs = np.zeros(len(gamma_t)) if n_samp < 2 \
-        else np.std(fids, axis=1, ddof=1) / math.sqrt(n_samp)
-    return FidelityCurve(gammas, means, errs, n_samp, t_star)
+    errs = np.zeros(len(gamma_t)) if a2.size < 2 \
+        else np.std(fids, axis=1, ddof=1) / math.sqrt(a2.size)
+    return FidelityCurve(gammas, means, errs, a2.size, t_star)

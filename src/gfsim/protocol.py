@@ -29,8 +29,8 @@ whether the symmetric combination (|m>+|n>)/sqrt2 is the top or bottom of
 the doublet alternates with the site distance. TransferPlan stores the
 doublet ordered by eigenvalue (theta > 0 always) and keeps the orientation
 in plus_overlap_sign; the closed-form fidelity and eta* both consume it.
-TransferPlan stores only what make_plan measures; n_sites, theta,
-lambda_mean, t* and eta* are derived once from the stored values.
+TransferPlan stores what make_plan measures and the checked ArrayConfig it
+measured; n_sites, theta, lambda_mean, t* and eta* derive from those once.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import _EPS, _NORM_TOL, decompose, transfer_amplitude
+from .dynamics import _EPS, _qubit_weights, decompose, transfer_amplitude
 from .errors import ConfigError, DoubletNotResolvedError
-from .model import (ArrayConfig, _derived, _is_integer, _is_real, _is_real_vector,
-                    build_couplings, build_hamiltonian, switching_frequencies, wrap_phase)
+from .model import (ArrayConfig, _is_integer, _is_real, build_couplings, build_hamiltonian,
+                    switching_frequencies, wrap_phase)
 
 __all__ = [
     "TransferPlan",
@@ -83,21 +83,23 @@ class TransferPlan:
     """Everything needed to run and to predict one m -> n transfer.
 
     Stored (the constructor's arguments, what make_plan measures): the
-    sites, frequencies, coupling_scale, the doublet eigenvalues lambda_plus
-    > lambda_minus, doublet_purity (the smaller of the two doublet overlap
-    weights), plus_overlap_sign (+1 when (|m>+|n>)/sqrt2 is the top level,
-    -1 when the bottom) and predicted_peak (the doublet-model max_t P_mn).
-    Derived once from the stored values: n_sites = len(frequencies), theta =
+    sites, config (the designed profile as an ArrayConfig, which checked it),
+    the doublet eigenvalues lambda_plus > lambda_minus, doublet_purity (the
+    smaller of the two doublet overlap weights), plus_overlap_sign (+1 when
+    (|m>+|n>)/sqrt2 is the top level, -1 when the bottom) and predicted_peak
+    (the doublet-model max_t P_mn). Read off config: n_sites, frequencies
+    and coupling_scale. Derived once from the stored values: theta =
     (lambda_plus - lambda_minus)/2 > 0, lambda_mean, transfer_time =
     pi/(2*theta), and eta_star, the bond phase that makes the transferred
-    amplitude +1 at t*.
+    amplitude +1 at t*. to_dict writes every field but config.
     """
 
     source: int
     target: int
+    config: ArrayConfig
     n_sites: int = field(init=False)
-    frequencies: np.ndarray
-    coupling_scale: float
+    frequencies: np.ndarray = field(init=False)
+    coupling_scale: float = field(init=False)
     lambda_plus: float
     lambda_minus: float
     theta: float = field(init=False)
@@ -109,24 +111,19 @@ class TransferPlan:
     predicted_peak: float
 
     def __post_init__(self) -> None:
-        freqs = np.array(self.frequencies if _is_real_vector(self.frequencies) else [],
-                         dtype=float)
-        if freqs.ndim != 1 or len(freqs) < 2 or not np.isfinite(freqs).all():
-            raise ConfigError("plan frequencies must be a vector of >= 2 finite numbers")
-        freqs.setflags(write=False)
+        config = self.config
+        if not isinstance(config, ArrayConfig):
+            raise ConfigError(f"plan config must be an ArrayConfig, got {type(config).__name__}")
         stored = vars(self)  # frozen: assign through the instance dict
-        stored["frequencies"] = freqs
         for name, cast in _FIELD_CASTS:
             if cast is int and not _is_integer(stored[name]):
                 raise ConfigError(f"plan {name} must be an integer, got {stored[name]!r}")
             if cast is float and not _is_real(stored[name]):
                 raise ConfigError(f"plan {name} must be a finite number, got {stored[name]!r}")
             stored[name] = cast(stored[name])
-        n, m, t, sign = len(freqs), self.source, self.target, self.plus_overlap_sign
+        n, m, t, sign = config.n_sites, self.source, self.target, self.plus_overlap_sign
         if not (1 <= m <= n and 1 <= t <= n) or m == t:
             raise ConfigError(f"plan sites must be distinct and in [1, {n}], got {m} -> {t}")
-        if not (self.coupling_scale > 0.0):
-            raise ConfigError(f"plan coupling_scale must be > 0, got {self.coupling_scale!r}")
         if not (0.0 <= self.doublet_purity <= 1.0):
             raise ConfigError(f"plan doublet_purity must lie in [0, 1], got {self.doublet_purity!r}")
         if sign not in (-1, 1):
@@ -139,18 +136,19 @@ class TransferPlan:
         # the transferred amplitude at t* is -i * sign * exp(-i lambda_mean t*)
         # * exp(-i (n-m) eta); eta_star makes it exactly +1
         eta_star = wrap_phase((-sign * 0.5 * math.pi - lambda_mean * transfer_time) / (t - m))
-        stored.update(n_sites=n, theta=theta, lambda_mean=lambda_mean,
+        stored.update(n_sites=n, frequencies=config.frequencies,
+                      coupling_scale=config.coupling_scale, theta=theta, lambda_mean=lambda_mean,
                       transfer_time=transfer_time, eta_star=eta_star)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "config"}
         out["frequencies"] = [float(w) for w in self.frequencies]
         return out
 
 
 # every stored int and float field of TransferPlan is kept as that type
 _FIELD_CASTS = tuple((f.name, {"int": int, "float": float}[f.type])
-                     for f in fields(TransferPlan) if f.init and f.name != "frequencies")
+                     for f in fields(TransferPlan) if f.init and f.name != "config")
 
 
 def _chain_run(d, b2, sites):
@@ -269,8 +267,8 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
     The doublet comes from exact partitioning onto {m, n} (module
     docstring), so purity, predicted_peak and the orientation sign do not
     depend on the LAPACK build; lambda+- are each rounded once to float64.
-    These measured values, with the sites and the profile, are all the plan
-    is given: TransferPlan derives theta, lambda_mean, t* and eta* from them.
+    These values, the sites and the profile's ArrayConfig (built once every
+    gate has passed) are all the plan is given; TransferPlan derives the rest.
 
     The gates run in this order, each on values the one before has passed.
     Refuses (DoubletNotResolvedError) first when float64 cannot carry the
@@ -335,8 +333,7 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
     return TransferPlan(
         source=m,
         target=n,
-        frequencies=freqs,
-        coupling_scale=template.coupling_scale,
+        config=ArrayConfig(template.n_sites, freqs, template.coupling_scale),
         lambda_plus=lambda_plus,
         lambda_minus=lambda_minus,
         doublet_purity=purity,
@@ -346,9 +343,8 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
 
 
 def plan_config(plan: TransferPlan) -> ArrayConfig:
-    """ArrayConfig that realizes a plan, made once (the same object later)."""
-    return _derived(plan, "_config", lambda p: ArrayConfig(
-        n_sites=p.n_sites, frequencies=p.frequencies, coupling_scale=p.coupling_scale))
+    """The ArrayConfig that realizes a plan: its config field."""
+    return plan.config
 
 
 def _applied_phase(plan: TransferPlan, eta: float | None = None) -> float:
@@ -361,7 +357,7 @@ def _arrival_amplitude(plan: TransferPlan, t, eta: float | None = None):
     """<n|U(t)|m> with bond phase eta (default eta*): the real-H amplitude on
     the plan's spectrum times the gauge factor e^{-i(n-m) eta}. Both qubit
     scores (qubit_fidelity_curve, open_system) take their amplitude here."""
-    spec = decompose(build_hamiltonian(plan_config(plan)))
+    spec = decompose(build_hamiltonian(plan.config))
     return transfer_amplitude(plan.source, plan.target, spec, t) * cmath.exp(
         -1j * (plan.target - plan.source) * _applied_phase(plan, eta))
 
@@ -384,13 +380,7 @@ def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
     closed_form is the two-level doublet-model prediction computed from the
     plan fields alone, an independent cross-check of the numerics.
     """
-    try:
-        a2, b2 = abs(complex(alpha)) ** 2, abs(complex(beta)) ** 2
-    except OverflowError:       # a magnitude past sqrt(float max)
-        a2 = b2 = math.inf
-    if not abs(a2 + b2 - 1.0) <= _NORM_TOL:
-        raise ConfigError(
-            f"qubit amplitudes not normalized: |alpha|^2 + |beta|^2 = {a2 + b2!r}")
+    a2, b2 = _qubit_weights(alpha, beta)
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
     numeric = _register_fidelity(a2, b2, _arrival_amplitude(plan, t_arr, eta))
 

@@ -92,6 +92,28 @@ def test_tables_take_no_format_flag(capsys):
             assert "unrecognized arguments: --format" in captured.err, (argv, fmt)
 
 
+# the 14 values of every plan document (written with sorted keys); the
+# benchmark's fig5 gate reads frequencies, coupling_scale, eta_star,
+# transfer_time, source and target
+PLAN_KEYS = ["coupling_scale", "doublet_purity", "eta_star", "frequencies", "lambda_mean",
+             "lambda_minus", "lambda_plus", "n_sites", "plus_overlap_sign",
+             "predicted_peak", "source", "target", "theta", "transfer_time"]
+
+
+def test_plan_document_schema(tmp_path):
+    # plan's document and the plan metadata of transfer, qubit and
+    # dissipation list exactly these keys: the config a plan holds is not one
+    runs = PRESET_RUNS[2:]
+    assert [argv[0] for argv in runs] == ["plan", "transfer", "qubit", "dissipation"]
+    docs = []
+    for k, argv in enumerate(runs):
+        for text in run_to_dir(argv, tmp_path / str(k)).values():
+            docs.append(json.loads(text if argv[0] == "plan" else text.splitlines()[0][2:]))
+    assert len(docs) == 5     # fig5 writes one file per pair
+    for doc in docs:
+        assert list(doc["plan"]) == PLAN_KEYS
+
+
 def test_plan_is_one_json_document(capsys):
     # plan writes its JSON document with or without --format json, and has
     # no CSV form

@@ -642,6 +642,13 @@ class TestAveragedFidelityStudy:
         for alpha, beta in ((1e200, 0.0), (0.0, 1e155j)):
             with pytest.raises(ConfigError, match="not normalized"):
                 qubit_fidelity_curve(plan_13, alpha, beta, [1.0])
+        # an ensemble is a 1-d list or array of numbers: numeric strings and
+        # bools are not scored, and a 2-d ensemble is not flattened
+        for bad in (([0.6], ["0.8"]), (["0.6"], ["0.8"]), ([True], [False]),
+                    ([[0.6, 0.8]], [[0.8, 0.6]]),
+                    (np.array([[0.6, 0.8]]), np.array([[0.8, 0.6]]))):
+            with pytest.raises(ConfigError, match="1-d ensembles of numbers"):
+                average_transfer_fidelity(plan_13, [0.1], *bad)
 
 
 def per_cell_scores(plan, gammas, alpha, beta):

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from gfsim.errors import ConfigError, DoubletNotResolvedError, RegimeError
-from gfsim.model import (ArrayConfig, build_hamiltonian, switching_frequencies,
-                         wrap_phase)
+from gfsim.model import (ArrayConfig, build_hamiltonian, config_and_pair, config_to_dict,
+                         switching_frequencies, wrap_phase)
 from gfsim.dynamics import decompose, transfer_probability
 from gfsim.protocol import (
     DoubletPurityWarning,
@@ -31,8 +31,11 @@ from oracles import identify_doublet
 
 
 def stored_fields(doc):
-    """The constructor's arguments out of a plan document."""
-    return {f.name: doc[f.name] for f in fields(TransferPlan) if f.init}
+    """The constructor's arguments out of a plan document: its profile
+    becomes the plan's config, an ArrayConfig, which checks it."""
+    stored = {f.name: doc[f.name] for f in fields(TransferPlan) if f.init and f.name != "config"}
+    stored["config"] = ArrayConfig(doc["n_sites"], doc["frequencies"], doc["coupling_scale"])
+    return stored
 
 
 # template: six resonant cavities at omega = 1, J = 0.0013. Recipe: build the
@@ -101,8 +104,11 @@ def test_plan_internal_relations(plan_24):
     p = plan_24
     # the constructor takes what make_plan measures; the rest is derived
     assert [f.name for f in fields(TransferPlan) if f.init] == [
-        "source", "target", "frequencies", "coupling_scale", "lambda_plus",
-        "lambda_minus", "doublet_purity", "plus_overlap_sign", "predicted_peak"]
+        "source", "target", "config", "lambda_plus", "lambda_minus",
+        "doublet_purity", "plus_overlap_sign", "predicted_peak"]
+    # the profile is read off the config, not copied
+    assert p.frequencies is p.config.frequencies
+    assert (p.n_sites, p.coupling_scale) == (p.config.n_sites, p.config.coupling_scale)
     assert p.n_sites == len(p.frequencies)
     assert p.theta == (p.lambda_plus - p.lambda_minus) / 2
     assert p.transfer_time == math.pi / (2 * p.theta)
@@ -366,12 +372,12 @@ def test_plan_json_roundtrip():
                     assert type(again[key]) is type(value), key
                     assert np.asarray(again[key]).tobytes() == np.asarray(value).tobytes(), key
                 # and its derived keys are what the constructor derives from
-                # its stored ones
+                # its stored ones (the config's values are three of the keys)
                 rebuilt = TransferPlan(**stored_fields(again))
-                for f in fields(TransferPlan):
-                    ours, theirs = getattr(rebuilt, f.name), getattr(plan, f.name)
-                    assert type(ours) is type(theirs), f.name
-                    assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes(), f.name
+                for key in doc:
+                    ours, theirs = getattr(rebuilt, key), getattr(plan, key)
+                    assert type(ours) is type(theirs), key
+                    assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes(), key
                 built += 1
     assert built > 50
 
@@ -396,35 +402,73 @@ def test_plan_rejects_corrupt_stored_fields(plan_24):
         ("plus_overlap_sign", 0, r"\+1 or -1"),
         ("lambda_plus", plan_24.lambda_minus, "theta must be > 0"),
     ]
+    # a corrupt profile or J is refused as the plan's config is built
     for key, value, named in corruptions:
-        stored = stored_fields(plan_24.to_dict())
-        stored[key] = value
+        doc = plan_24.to_dict()
+        doc[key] = value
         with pytest.raises(ConfigError, match=named):
-            TransferPlan(**stored)
+            TransferPlan(**stored_fields(doc))
+
+
+# profiles refused with one ArrayConfig message whichever way they come in
+BAD_PROFILES = [
+    [1.0, True, 1.0, 1.0, 1.0, 1.0],                # a bool
+    [1.0, "1.5", 1.0, 1.0, 1.0, 1.0],               # a numeric string
+    [1.0, math.nan, 1.0, 1.0, 1.0, 1.0],
+    [1.0, math.inf, 1.0, 1.0, 1.0, 1.0],
+    [[1.0, 2.0], 1.0, 1.0, 1.0, 1.0, 1.0],          # ragged
+    [1.0],                                          # one entry
+    [[1.0] * 6, [1.5] * 6],                         # 2-d
+]
+
+
+def test_one_profile_rule(plan_24):
+    for profile in BAD_PROFILES:
+        with pytest.raises(ConfigError, match="^frequencies must be") as direct:
+            ArrayConfig(6, profile, 0.0013)
+        # as a --config JSON list, and as a hand-built plan's config
+        text = json.dumps({"n_sites": 6, "frequencies": profile, "J": 0.0013})
+        with pytest.raises(ConfigError) as from_json:
+            config_and_pair(json.loads(text))
+        with pytest.raises(ConfigError) as in_plan:
+            TransferPlan(**stored_fields(dict(plan_24.to_dict(), frequencies=profile)))
+        assert str(from_json.value) == str(in_plan.value) == str(direct.value), profile
+    # a plan's config is an ArrayConfig, not its schema mapping
+    stored = dict(stored_fields(plan_24.to_dict()), config=config_to_dict(plan_24.config))
+    with pytest.raises(ConfigError, match="plan config must be an ArrayConfig, got dict"):
+        TransferPlan(**stored)
 
 
 def test_plan_config_carries_the_plan_and_is_made_once(plan_24):
     cfg = plan_config(plan_24)
+    assert cfg is plan_24.config
     np.testing.assert_array_equal(cfg.frequencies, plan_24.frequencies)
     assert (cfg.n_sites, cfg.coupling_scale) == (plan_24.n_sites, plan_24.coupling_scale)
     assert plan_config(plan_24) is cfg
     # the phase is the qubit score's, not the config's
     with pytest.raises(TypeError):
         plan_config(plan_24, eta=0.0)
-    # kept outside the fields: the plan document does not change
+    # the plan document writes the config's values, not the config
     assert plan_24.to_dict() == TransferPlan(**stored_fields(plan_24.to_dict())).to_dict()
-    assert "_config" not in plan_24.to_dict()
+    assert "config" not in plan_24.to_dict()
 
 
 def test_one_spectrum_per_plan(template, monkeypatch):
-    # a transfer curve and a qubit curve of one plan decompose its
-    # Hamiltonian once, and both equal a cold computation bit for bit
-    plan = make_plan(template, 2, 4)
-    cold = TransferPlan(**stored_fields(plan.to_dict()))  # same values, no memo
-    times = np.linspace(0.0, 2.0 * plan.transfer_time, 401)
-    calls = []
-    eigh = np.linalg.eigh
+    # make_plan runs no eigensolver and builds the plan's one ArrayConfig
+    # after its gates (none for a refused plan); a transfer curve and a
+    # qubit curve of the plan then decompose its Hamiltonian once, and both
+    # equal a cold computation bit for bit
+    calls, configs = [], []
+    eigh, check = np.linalg.eigh, ArrayConfig.__post_init__
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    monkeypatch.setattr(ArrayConfig, "__post_init__", lambda c: configs.append(c) or check(c))
+    plan = make_plan(template, 2, 4)
+    with pytest.raises(DoubletNotResolvedError):
+        make_plan(template, 1, 6)
+    assert configs == [plan.config] and plan_config(plan) is plan.config
+    assert not calls
+    cold = TransferPlan(**stored_fields(plan.to_dict()))  # same values, a new config
+    times = np.linspace(0.0, 2.0 * plan.transfer_time, 401)
     probs = transfer_probability(2, 4, decompose(build_hamiltonian(plan_config(plan))), times)
     numeric, closed = qubit_fidelity_curve(plan, 0.6, 0.8j, times)
     assert len(calls) == 1
@@ -443,3 +487,9 @@ def test_qubit_curve_rejects_unnormalized_state(plan_24):
                         (math.inf, 0.0)):
         with pytest.raises(ConfigError, match="normalized"):
             qubit_fidelity_curve(plan_24, alpha, beta, [0.0])
+    # amplitudes are numbers: a numeric string or a bool is not scored, and
+    # an array or None is a config error, not a bare TypeError
+    for alpha, beta in (("0.6", "0.8"), (True, False), (np.array([0.6]), 0.8),
+                        (0.6, np.array([0.8])), (None, 1.0)):
+        with pytest.raises(ConfigError, match="qubit amplitudes must be numbers"):
+            qubit_fidelity_curve(plan_24, alpha, beta, [1.0])
