@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import _is_integer, _readonly
+from .model import _integer, _readonly, _real
 
 __all__ = [
     "TruncatedCoherentProfile",
@@ -65,15 +65,8 @@ def truncated_coherent_amplitudes(coupling: float, t: float, n_sites: int) -> Tr
     Poisson distribution in k-1 conditioned on k <= N, with x = (J t)^2.
     Exactly normalized by construction; a (J t)^2 past float range is refused.
     """
-    coupling = float(coupling)
-    if not math.isfinite(coupling) or coupling <= 0.0:
-        raise ConfigError(f"coupling must be > 0, got {coupling!r}")
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise ConfigError(f"time must be finite and >= 0, got {t!r}")
-    if not _is_integer(n_sites) or n_sites < 1:
-        raise ConfigError(f"n_sites must be an integer >= 1, got {n_sites!r}")
-    n = int(n_sites)
+    coupling, t = _real(coupling, "coupling", 0.0, strict=True), _real(t, "time", 0.0)
+    n = _integer(n_sites, "n_sites", 1)
 
     try:
         x = (coupling * t) ** 2

@@ -35,7 +35,7 @@ from .analytics import truncated_coherent_amplitudes
 from .dynamics import decompose, transfer_amplitude, transfer_probability
 from .errors import ClosedFormInapplicableError, ConfigError, \
     NumericalInvariantError, RegimeError
-from .model import ArrayConfig, build_hamiltonian, config_and_pair, config_to_dict
+from .model import ArrayConfig, _real, build_hamiltonian, config_and_pair, config_to_dict
 from .open_system import average_transfer_fidelity, reference_qubit_states, \
     sample_qubit_states
 from .protocol import _applied_phase, make_plan, qubit_fidelity_curve
@@ -278,12 +278,8 @@ def resolve_experiment(args: argparse.Namespace) -> ResolvedExperiment:
         raise ConfigError("either --preset or --config is required")
     config, pair = config_and_pair(raw)
     planned = pair is not None
-    base = float(config.frequencies[0])
-    if not base > 0.0:
-        raise ConfigError(
-            f"the first cavity frequency omega_1 must be > 0, got {base!r}: "
-            "time columns are omega_1 * t"
-        )
+    base = _real(config.frequencies[0], "the first cavity frequency omega_1 (time columns are "
+                 "omega_1 * t)", 0.0, strict=True)
 
     # subcommands without -m/-n take the pair from the config alone
     source, target = getattr(args, "source", None), getattr(args, "target", None)

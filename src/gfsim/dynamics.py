@@ -4,7 +4,8 @@ Propagation is spectral: diagonalize the real symmetric tridiagonal site
 block once, then e^{-iHt} is exact at any t, with no error accumulation over
 the very long horizons the weak-coupling protocols need (omega*t ~ 1e5 and
 up). The eigenvectors are real (no bond phase in H; see model), and each
-HamiltonianMatrix's spectrum is computed once.
+HamiltonianMatrix's spectrum is computed once. Every argument passes model's
+number rule; only a time array's finiteness is the kernel's (_mode_sum).
 
 Every amplitude comes from one kernel, sum_k V[target, k] c_k e^{-i lambda_k t}:
 transfer_amplitude takes c = V[initial, :], evolve c = V^T psi. It splits
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalInvariantError
-from .model import (HamiltonianMatrix, _derived, _is_amplitude, _is_integer, _is_number_vector,
-                    _readonly)
+from .model import (HamiltonianMatrix, _derived, _integer, _is_amplitude, _is_integer,
+                    _is_numeric, _readonly, _real, _real_grid)
 
 __all__ = [
     "ExcitationState",
@@ -41,21 +42,24 @@ _NORM_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
-def _qubit_weights(alpha, beta, ensemble: bool = False):
-    """(|alpha|^2, |beta|^2) of alpha|vac> + beta|site>: two numbers, or with
-    ensemble two non-empty 1-d lists or arrays of numbers of equal length.
-    Anything else is a ConfigError, as is a sum off 1 by more than _NORM_TOL:
-    NaN, or a component past 2, left unsquared so nothing overflows or warns."""
-    given = (alpha, beta) if ensemble else ([alpha], [beta])
-    if not (all(_is_number_vector(v, _is_amplitude, "iufc") and np.ndim(v) == 1 for v in given)
-            and len(given[0]) == len(given[1]) > 0):
-        what = "non-empty 1-d ensembles of numbers of equal length" if ensemble else "numbers"
-        raise ConfigError(f"qubit amplitudes must be {what}")
-    pair = [np.asarray(v, dtype=complex) if ensemble else complex(v[0]) for v in given]
-    big = any(np.any(abs(part) > 2.0) for z in pair for part in (z.real, z.imag))
+def _qubit_weights(alpha, beta):
+    """(|alpha|^2, |beta|^2) of alpha|vac> + beta|site>: floats, in Python, for
+    two numbers; arrays for two non-empty 1-d ensembles of equal length. Else a
+    ConfigError, as is a sum off 1 by more than _NORM_TOL: NaN, or a component
+    past 2, left unsquared so nothing overflows or warns."""
+    if _is_amplitude(alpha) and _is_amplitude(beta):
+        pair = complex(alpha), complex(beta)
+        big = any(abs(z.real) > 2.0 or abs(z.imag) > 2.0 for z in pair)
+    elif (all(_is_numeric(v, _is_amplitude, "iufc") and np.ndim(v) == 1 for v in (alpha, beta))
+          and len(alpha) == len(beta) > 0):
+        pair = [np.asarray(v, dtype=complex) for v in (alpha, beta)]
+        big = any(np.any(abs(part) > 2.0) for z in pair for part in (z.real, z.imag))
+    else:
+        raise ConfigError("qubit amplitudes must be two numbers or two non-empty 1-d "
+                          "ensembles of numbers of equal length")
     a2, b2 = (math.inf, math.inf) if big else (abs(pair[0]) ** 2, abs(pair[1]) ** 2)
-    total = np.atleast_1d(a2 + b2)
-    worst = float(total[np.argmax(np.abs(total - 1.0))])
+    total = a2 + b2
+    worst = total if isinstance(total, float) else float(total[np.argmax(np.abs(total - 1.0))])
     if not abs(worst - 1.0) <= _NORM_TOL:
         raise ConfigError(f"qubit amplitudes not normalized: |alpha|^2 + |beta|^2 = {worst!r}")
     return a2, b2
@@ -68,6 +72,8 @@ class ExcitationState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        if not _is_numeric(self.amplitudes, _is_amplitude, "iufc"):
+            raise ConfigError(f"amplitudes must be numbers, got {self.amplitudes!r}")
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.shape[0] < 2:
             raise ConfigError(
@@ -97,14 +103,13 @@ def single_photon_state(n_sites: int, site: int) -> ExcitationState:
 
 
 def qubit_state(n_sites: int, site: int, alpha: complex, beta: complex) -> ExcitationState:
-    """Superposition alpha|vacuum> + beta|photon at site>."""
-    if not (_is_integer(n_sites) and _is_integer(site)):
-        raise ConfigError(f"n_sites and site must be integers, got {n_sites!r}, {site!r}")
-    if not (1 <= site <= n_sites):
+    """Superposition alpha|vacuum> + beta|photon at site>, checked as an
+    ExcitationState: alpha and beta are numbers and normalized."""
+    n_sites, site = _integer(n_sites, "n_sites", 1), _integer(site, "site", 1)
+    if site > n_sites:
         raise ConfigError(f"site must lie in [1, {n_sites}], got {site}")
-    amps = np.zeros(n_sites + 1, dtype=complex)
-    amps[0] = alpha
-    amps[site] = beta
+    amps = [0.0] * (n_sites + 1)
+    amps[0], amps[site] = alpha, beta
     return ExcitationState(amps)
 
 
@@ -116,8 +121,9 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eigenvalues", _readonly(np.asarray(self.eigenvalues, float)))
-        object.__setattr__(self, "eigenvectors", _readonly(np.asarray(self.eigenvectors, float)))
+        object.__setattr__(self, "eigenvalues", _readonly(_real_grid(self.eigenvalues, "eigenvalues")))
+        object.__setattr__(self, "eigenvectors",
+                           _readonly(_real_grid(self.eigenvectors, "eigenvectors", depth=2)))
 
     @property
     def n_sites(self) -> int:
@@ -213,7 +219,7 @@ def evolve(state: ExcitationState, spec: SpectralDecomposition, t: float) -> Exc
         )
     v = spec.eigenvectors
     coeffs = np.einsum("jk,j->k", v, state.amplitudes[1:])
-    sites = _mode_sum(v, coeffs, spec.eigenvalues, np.array([float(t)]))[0]
+    sites = _mode_sum(v, coeffs, spec.eigenvalues, np.array([_real(t, "t")]))[0]
     return ExcitationState(np.append(state.amplitudes[0], sites))
 
 
@@ -237,7 +243,7 @@ def transfer_amplitude(initial_site: int, target_site, spec: SpectralDecompositi
                        ("target_site", high)):
         if not _is_integer(site) or not 1 <= site <= n:
             raise ConfigError(f"{name} must be an integer in [1, {n}], got {site}")
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _real_grid(t, "times")
     v = spec.eigenvectors
     amps = _mode_sum(v[targets - 1], v[initial_site - 1, :],
                      spec.eigenvalues, t_arr.ravel())

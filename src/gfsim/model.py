@@ -14,6 +14,11 @@ so it changes no population and enters an amplitude <n|U|m> only as the
 factor e^{-i (n-m) eta}, which the qubit score applies (protocol). Each
 immutable object computes what derives from it once (_derived): a config
 its Hamiltonian, a Hamiltonian its spectrum (a plan holds its config).
+
+One number rule, here: a number is a Python or numpy int or float (_is_real;
+complex too for an amplitude), never a bool or a numeric string. Every scalar,
+count, grid and matrix a public function takes passes _real, _integer,
+_real_grid or _is_numeric, whose ConfigError names the argument.
 """
 
 from __future__ import annotations
@@ -42,9 +47,7 @@ __all__ = [
 
 def wrap_phase(eta: float) -> float:
     """Wrap an angle into [-pi, pi)."""
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise ConfigError(f"phase must be finite, got {eta!r}")
+    eta = _real(eta, "phase")
     wrapped = (eta + math.pi) % (2.0 * math.pi) - math.pi
     # fmod can land exactly on +pi for inputs like pi - 1e-17
     if wrapped >= math.pi:
@@ -71,14 +74,48 @@ def _is_amplitude(value) -> bool:
             or _is_integer(value) and abs(value) <= sys.float_info.max)
 
 
-def _is_number_vector(values, is_number=_is_real, kinds: str = "iuf") -> bool:
+def _is_numeric(values, is_number=_is_real, kinds: str = "iuf", depth: int = 1) -> bool:
     """True for an ndarray of a dtype kind in kinds, on its dtype alone (shape
-    and finiteness are the caller's to check), or for a list or tuple of
-    is_number values: a bool, string, nested or ragged element fails here
-    before numpy can cast it or raise."""
+    and finiteness are the caller's to check), or for lists or tuples nested
+    depth deep (rows of a matrix at 2) of is_number values: a bool, string or
+    too deeply nested element fails here before numpy can cast it or raise."""
     if isinstance(values, np.ndarray):
         return values.dtype.kind in kinds
-    return isinstance(values, (list, tuple)) and all(map(is_number, values))
+    return isinstance(values, (list, tuple)) and all(
+        _is_numeric(v, is_number, kinds, depth - 1) if depth > 1 else is_number(v)
+        for v in values)
+
+
+def _real(value, name: str, low: float | None = None, strict: bool = False) -> float:
+    """value as a float if it is a number (_is_real) and, given low, >= low
+    (> low when strict); a ConfigError naming it otherwise."""
+    if not _is_real(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    value = float(value)
+    if low is not None and not (value > low if strict else value >= low):
+        raise ConfigError(f"{name} must be {'>' if strict else '>='} {low:g}, got {value!r}")
+    return value
+
+
+def _integer(value, name: str, low: int) -> int:
+    """value as an int if it is an integer >= low; a ConfigError naming it otherwise."""
+    if not (_is_integer(value) and value >= low):
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _real_grid(values, name: str, low: float | None = None, depth: int = 1) -> np.ndarray:
+    """values as a float64 array if they are a number, lists or tuples of
+    numbers nested depth deep (flat at 1) or an iuf ndarray of any shape; a
+    ConfigError naming them otherwise. An ndarray's entries are checked finite
+    and >= low only given low (a time grid's finiteness is the kernel's)."""
+    if not (_is_real(values) or _is_numeric(values, depth=depth)):
+        raise ConfigError(f"{name} must be finite numbers: one, a list or tuple of them, "
+                          f"or a real array; got {values!r}")
+    grid = np.asarray(values, dtype=float)
+    if low is not None and not np.all(np.isfinite(grid) & (grid >= low)):
+        raise ConfigError(f"{name} must be finite and >= {low:g}")
+    return grid
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -109,17 +146,8 @@ class ArrayConfig:
     coupling_scale: float
 
     def __post_init__(self) -> None:
-        n = self.n_sites
-        if not _is_integer(n):
-            raise ConfigError(f"n_sites must be an integer, got {n!r}")
-        if n < 2:
-            raise ConfigError(f"n_sites must be >= 2 (chain degenerates), got {n}")
-        object.__setattr__(self, "n_sites", int(n))
-
-        if not _is_number_vector(self.frequencies):
-            raise ConfigError(
-                f"frequencies must be a list or array of numbers, got {self.frequencies!r}")
-        freqs = np.asarray(self.frequencies, dtype=float)
+        object.__setattr__(self, "n_sites", _integer(self.n_sites, "n_sites", 2))
+        freqs = _real_grid(self.frequencies, "frequencies")
         if freqs.ndim != 1 or freqs.shape[0] != self.n_sites:
             raise ConfigError(
                 f"frequencies must be a length-{self.n_sites} vector, "
@@ -128,14 +156,8 @@ class ArrayConfig:
         if not np.all(np.isfinite(freqs)):
             raise ConfigError("frequencies must all be finite")
         object.__setattr__(self, "frequencies", _readonly(freqs))
-
-        if not _is_real(self.coupling_scale):
-            raise ConfigError(
-                f"coupling_scale must be a finite number, got {self.coupling_scale!r}")
-        scale = float(self.coupling_scale)
-        if scale <= 0.0:
-            raise ConfigError(f"coupling_scale must be > 0, got {scale!r}")
-        object.__setattr__(self, "coupling_scale", scale)
+        object.__setattr__(self, "coupling_scale",
+                           _real(self.coupling_scale, "coupling_scale", 0.0, strict=True))
 
 
 @functools.cache
@@ -148,14 +170,16 @@ def _above_band(n: int) -> np.ndarray:
 class HamiltonianMatrix:
     """Real symmetric tridiagonal single-excitation Hamiltonian (site block).
 
-    Construction copies the input once as float64 and checks shape,
-    finiteness, symmetry and tridiagonality (1e-14 relative), so code can
-    rely on it. An imaginary part is refused (no bond phase; module docstring).
+    Construction refuses entries that are not numbers, copies the input once
+    as float64 and checks shape, finiteness, symmetry and tridiagonality
+    (1e-14 relative). An imaginary part is refused (no bond phase; module docstring).
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        if not _is_numeric(self.matrix, _is_amplitude, "iufc", depth=2):
+            raise ConfigError(f"Hamiltonian entries must be numbers, got {self.matrix!r}")
         h = np.asarray(self.matrix)
         if np.iscomplexobj(h) and np.any(h.imag):
             raise ConfigError("Hamiltonian must be real (a bond phase is a gauge)")
@@ -192,14 +216,11 @@ def build_couplings(scale: float, n_sites: int) -> np.ndarray:
     The last bond is checked first, in Python floats (the same bits as
     numpy's): one beyond float range is a ConfigError, not an inf and a
     numpy overflow warning."""
-    if not _is_integer(n_sites) or n_sites < 2:
-        raise ConfigError(f"n_sites must be an integer >= 2, got {n_sites!r}")
-    scale = float(scale)
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise ConfigError(f"coupling scale must be > 0, got {scale!r}")
+    n_sites = _integer(n_sites, "n_sites", 2)
+    scale = _real(scale, "coupling scale", 0.0, strict=True)
     if not math.isfinite(scale * math.sqrt(n_sites - 1)):
         raise ConfigError(f"bond J*sqrt({n_sites - 1}) overflows float64 at J = {scale!r}")
-    return scale * np.sqrt(np.arange(1, int(n_sites), dtype=float))
+    return scale * np.sqrt(np.arange(1, n_sites, dtype=float))
 
 
 def _assemble(config: ArrayConfig) -> HamiltonianMatrix:
@@ -227,21 +248,13 @@ def switching_frequencies(base: float, m: int, n: int, n_sites: int) -> np.ndarr
     product k(s-k) is the same, so the two frequencies are bitwise equal,
     not merely equal to rounding.
     """
-    for name, val in (("m", m), ("n", n), ("n_sites", n_sites)):
-        if not _is_integer(val):
-            raise ConfigError(f"{name} must be an integer, got {val!r}")
-    if n_sites < 2:
-        raise ConfigError(f"n_sites must be >= 2, got {n_sites}")
+    m, n, n_sites = _integer(m, "m", 1), _integer(n, "n", 1), _integer(n_sites, "n_sites", 2)
     if m == n:
         raise ConfigError(f"source and target sites must differ, got m = n = {m}")
-    if not (1 <= m <= n_sites) or not (1 <= n <= n_sites):
-        raise ConfigError(
-            f"sites must lie in [1, {n_sites}], got m = {m}, n = {n}"
-        )
-    base = float(base)
-    if not math.isfinite(base) or base <= 0.0:
-        raise ConfigError(f"base frequency must be > 0, got {base!r}")
-    k = np.arange(int(n_sites), dtype=float)  # k-1 in the formula, 0-based here
+    if max(m, n) > n_sites:
+        raise ConfigError(f"sites must lie in [1, {n_sites}], got m = {m}, n = {n}")
+    base = _real(base, "base frequency", 0.0, strict=True)
+    k = np.arange(n_sites, dtype=float)  # k-1 in the formula, 0-based here
     s = float(m + n - 2)
     return base + k * (s - k) / s
 
@@ -250,19 +263,8 @@ def switching_frequencies(base: float, m: int, n: int, n_sites: int) -> np.ndarr
 # object {"preset": "resonant"|"switching", "C": ..., "m": ..., "n": ...};
 # C defaults to 1.0 (the reference frequency). No bond phase: populations
 # are gauge-invariant, and the qubit score takes eta* from its plan.
-_TOP_KEYS = {"n_sites", "frequencies", "J"}
+_TOP_KEYS = ("n_sites", "frequencies", "J")
 _PRESET_KEYS = {"preset", "C", "m", "n"}
-
-
-def _require_number(data: Mapping, key: str, default=None):
-    if key not in data:
-        if default is None:
-            raise ConfigError(f"config missing required field '{key}'")
-        return default
-    val = data[key]
-    if not _is_real(val):
-        raise ConfigError(f"config field '{key}' must be a finite number, got {val!r}")
-    return val
 
 
 def config_and_pair(data: Mapping) -> tuple[ArrayConfig, tuple[int, int] | None]:
@@ -277,14 +279,10 @@ def config_and_pair(data: Mapping) -> tuple[ArrayConfig, tuple[int, int] | None]
     for key in data:
         if key not in _TOP_KEYS:
             raise ConfigError(f"unknown config field '{key}'")
-    n_sites = data.get("n_sites")
-    if not isinstance(n_sites, int) or isinstance(n_sites, bool):
-        raise ConfigError(f"config field 'n_sites' must be an integer, got {n_sites!r}")
-    if n_sites < 2:
-        raise ConfigError(f"n_sites must be >= 2 (chain degenerates), got {n_sites}")
-
-    if "frequencies" not in data:
-        raise ConfigError("config missing required field 'frequencies'")
+    for key in _TOP_KEYS:
+        if key not in data:
+            raise ConfigError(f"config missing required field '{key}'")
+    n_sites = _integer(data["n_sites"], "config field 'n_sites'", 2)
     freq_spec = data["frequencies"]
     pair, frequencies = None, freq_spec     # ArrayConfig checks a list
     if isinstance(freq_spec, Mapping):
@@ -292,17 +290,17 @@ def config_and_pair(data: Mapping) -> tuple[ArrayConfig, tuple[int, int] | None]
             if key not in _PRESET_KEYS:
                 raise ConfigError(f"unknown frequency-preset field '{key}'")
         preset = freq_spec.get("preset")
-        c = _require_number(freq_spec, "C", 1.0)
+        c = _real(freq_spec.get("C", 1.0), "config field 'C'")
         if preset == "resonant":
             for key in ("m", "n"):
                 if key in freq_spec:
                     raise ConfigError(
                         f"frequency preset 'resonant' does not take '{key}'"
                     )
-            frequencies = np.full(n_sites, float(c))
+            frequencies = np.full(n_sites, c)
         elif preset == "switching":
             pair = (freq_spec.get("m"), freq_spec.get("n"))
-            frequencies = switching_frequencies(float(c), *pair, n_sites)
+            frequencies = switching_frequencies(c, *pair, n_sites)
         else:
             raise ConfigError(
                 f"frequency preset must be 'resonant' or 'switching', got {preset!r}"
@@ -313,11 +311,7 @@ def config_and_pair(data: Mapping) -> tuple[ArrayConfig, tuple[int, int] | None]
             f"got {type(freq_spec).__name__}"
         )
 
-    return ArrayConfig(
-        n_sites=n_sites,
-        frequencies=frequencies,
-        coupling_scale=float(_require_number(data, "J")),
-    ), pair
+    return ArrayConfig(n_sites, frequencies, _real(data["J"], "config field 'J'")), pair
 
 
 def config_to_dict(config: ArrayConfig) -> dict:

@@ -37,7 +37,8 @@ import numpy as np
 
 from .dynamics import ExcitationState, _qubit_weights, decompose
 from .errors import ConfigError, NumericalInvariantError
-from .model import HamiltonianMatrix, _is_integer, _readonly
+from .model import (HamiltonianMatrix, _integer, _is_amplitude, _is_numeric, _readonly, _real,
+                    _real_grid)
 from .protocol import TransferPlan, _arrival_amplitude, _register_fidelity
 
 __all__ = [
@@ -70,6 +71,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        if not _is_numeric(self.matrix, _is_amplitude, "iufc", depth=2):
+            raise ConfigError(f"density matrix entries must be numbers, got {self.matrix!r}")
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
             raise ConfigError(f"density matrix must be square, got shape {rho.shape}")
@@ -207,16 +210,9 @@ def integrate_master(rho0: DensityMatrix, hamiltonian, gamma: float,
     (_rk4_stack).
     """
     if not isinstance(rho0, DensityMatrix):
-        rho0 = DensityMatrix(np.asarray(rho0))
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 0.0:
-        raise ConfigError(f"decay rate must be >= 0, got {gamma!r}")
-    t_end = float(t_end)
-    if not math.isfinite(t_end) or t_end < 0.0:
-        raise ConfigError(f"t_end must be finite and >= 0, got {t_end!r}")
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise ConfigError(f"dt must be > 0, got {dt!r}")
+        rho0 = DensityMatrix(rho0)
+    gamma, t_end = _real(gamma, "decay rate", 0.0), _real(t_end, "t_end", 0.0)
+    dt = _real(dt, "dt", 0.0, strict=True)
     h = hamiltonian if isinstance(hamiltonian, HamiltonianMatrix) else HamiltonianMatrix(hamiltonian)
     if rho0.matrix.shape[0] != h.dim + 1:
         raise ConfigError(
@@ -256,12 +252,10 @@ def sample_qubit_states(samples: int, seed) -> tuple[np.ndarray, np.ndarray]:
     alpha = cos(theta/2) real >= 0 with cos(theta) uniform on [-1, 1];
     beta = e^{i phi} sin(theta/2) with phi uniform on [0, 2 pi).
     """
-    for name, value, low in (("samples", samples, 1), ("seed", seed, 0)):
-        if not _is_integer(value) or value < low:
-            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    samples, seed = _integer(samples, "samples", 1), _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    cos_t = rng.uniform(-1.0, 1.0, int(samples))
-    phi = rng.uniform(0.0, 2.0 * math.pi, int(samples))
+    cos_t = rng.uniform(-1.0, 1.0, samples)
+    phi = rng.uniform(0.0, 2.0 * math.pi, samples)
     alpha = np.sqrt((1.0 + cos_t) / 2.0)
     beta = np.exp(1j * phi) * np.sqrt((1.0 - cos_t) / 2.0)
     return alpha, beta.astype(complex)
@@ -298,12 +292,12 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
                               beta) -> FidelityCurve:
     """Mean transfer fidelity at t = plan.transfer_time versus gamma/J.
 
-    For each decay rate, every superposition alpha[i]|vac> + beta[i]|m>
-    evolves with uniform loss under the plan's Hamiltonian (bond phase
-    eta_star) and is scored against alpha[i]|vac> + beta[i]|n>. The same
-    states are scored in every cell, so with a random ensemble (for example
-    sample_qubit_states) the curve's gamma-dependence is not polluted by
-    sampling noise.
+    For each decay rate, every superposition alpha[i]|vac> + beta[i]|m> (two
+    numbers are one state) evolves with uniform loss under the plan's
+    Hamiltonian (bond phase eta_star) and is scored against alpha[i]|vac> +
+    beta[i]|n>. The same states are scored in every cell, so with a random
+    ensemble (for example sample_qubit_states) the curve's gamma-dependence
+    is not polluted by sampling noise.
 
     Each cell is scored from the exact no-jump factorization of the master
     equation (Dalibard, Castin & Moelmer, PRL 68, 580 (1992)): at t the
@@ -317,12 +311,10 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
 
     Returns the per-cell mean and standard error of the sample mean.
     """
-    gammas = np.atleast_1d(np.asarray(gamma_over_J, dtype=float))
+    gammas = np.atleast_1d(_real_grid(gamma_over_J, "gamma_over_J", 0.0))
     if gammas.ndim != 1 or gammas.size == 0:
         raise ConfigError("gamma_over_J must be a non-empty 1-d grid")
-    if np.any(~np.isfinite(gammas)) or np.any(gammas < 0.0):
-        raise ConfigError("gamma_over_J values must be finite and >= 0")
-    a2, b2 = _qubit_weights(alpha, beta, ensemble=True)
+    a2, b2 = _qubit_weights(alpha, beta)
 
     t_star = plan.transfer_time
     a = _arrival_amplitude(plan, t_star)
@@ -334,6 +326,7 @@ def average_transfer_fidelity(plan: TransferPlan, gamma_over_J, alpha,
     lost = np.array([[math.expm1(-x)] for x in gamma_t])
     fids = _register_fidelity(a2, b2, a, half, lost)
     means = np.mean(fids, axis=1)
-    errs = np.zeros(len(gamma_t)) if a2.size < 2 \
-        else np.std(fids, axis=1, ddof=1) / math.sqrt(a2.size)
-    return FidelityCurve(gammas, means, errs, a2.size, t_star)
+    samples = np.size(a2)  # two numbers are one state
+    errs = np.zeros(len(gamma_t)) if samples < 2 \
+        else np.std(fids, axis=1, ddof=1) / math.sqrt(samples)
+    return FidelityCurve(gammas, means, errs, samples, t_star)

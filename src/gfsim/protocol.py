@@ -44,8 +44,8 @@ import numpy as np
 
 from .dynamics import _EPS, _qubit_weights, decompose, transfer_amplitude
 from .errors import ConfigError, DoubletNotResolvedError
-from .model import (ArrayConfig, _is_integer, _is_real, build_couplings, build_hamiltonian,
-                    switching_frequencies, wrap_phase)
+from .model import (ArrayConfig, _integer, _real, _real_grid, build_couplings,
+                    build_hamiltonian, switching_frequencies, wrap_phase)
 
 __all__ = [
     "TransferPlan",
@@ -115,12 +115,10 @@ class TransferPlan:
         if not isinstance(config, ArrayConfig):
             raise ConfigError(f"plan config must be an ArrayConfig, got {type(config).__name__}")
         stored = vars(self)  # frozen: assign through the instance dict
-        for name, cast in _FIELD_CASTS:
-            if cast is int and not _is_integer(stored[name]):
-                raise ConfigError(f"plan {name} must be an integer, got {stored[name]!r}")
-            if cast is float and not _is_real(stored[name]):
-                raise ConfigError(f"plan {name} must be a finite number, got {stored[name]!r}")
-            stored[name] = cast(stored[name])
+        for name, low in (("source", 1), ("target", 1), ("plus_overlap_sign", -1)):
+            stored[name] = _integer(stored[name], f"plan {name}", low)
+        for name in ("lambda_plus", "lambda_minus", "doublet_purity", "predicted_peak"):
+            stored[name] = _real(stored[name], f"plan {name}")
         n, m, t, sign = config.n_sites, self.source, self.target, self.plus_overlap_sign
         if not (1 <= m <= n and 1 <= t <= n) or m == t:
             raise ConfigError(f"plan sites must be distinct and in [1, {n}], got {m} -> {t}")
@@ -144,11 +142,6 @@ class TransferPlan:
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "config"}
         out["frequencies"] = [float(w) for w in self.frequencies]
         return out
-
-
-# every stored int and float field of TransferPlan is kept as that type
-_FIELD_CASTS = tuple((f.name, {"int": int, "float": float}[f.type])
-                     for f in fields(TransferPlan) if f.init and f.name != "config")
 
 
 def _chain_run(d, b2, sites):
@@ -381,7 +374,9 @@ def qubit_fidelity_curve(plan: TransferPlan, alpha: complex, beta: complex,
     plan fields alone, an independent cross-check of the numerics.
     """
     a2, b2 = _qubit_weights(alpha, beta)
-    t_arr = np.atleast_1d(np.asarray(times, dtype=float))
+    if not isinstance(a2, float):
+        raise ConfigError("qubit amplitudes must be two numbers here, not ensembles")
+    t_arr = np.atleast_1d(_real_grid(times, "times"))
     numeric = _register_fidelity(a2, b2, _arrival_amplitude(plan, t_arr, eta))
 
     # the doublet amplitude -i s e^{-i phi} sin(theta t), phi = lambda_mean t +

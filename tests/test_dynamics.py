@@ -67,7 +67,7 @@ def test_state_validation():
     with pytest.raises(ConfigError):
         single_photon_state(4, 5)
     spec = decompose(build_hamiltonian(ArrayConfig(4, np.ones(4), 0.1)))
-    with pytest.raises(ConfigError, match="times must be finite"):
+    with pytest.raises(ConfigError, match="^t must be a finite number, got nan$"):
         evolve(s, spec, math.nan)
     six = decompose(build_hamiltonian(ArrayConfig(6, np.ones(6), 0.1)))
     with pytest.raises(ConfigError, match="5 sites but decomposition has 6"):
@@ -85,7 +85,7 @@ def test_qubit_state_structure():
     # a float site indexed nothing, a bool site was read as a mask
     for call in (lambda: qubit_state(4, 1.5, 0.6, 0.8), lambda: qubit_state(4, True, 0.6, 0.8),
                  lambda: qubit_state(4.0, 1, 0.6, 0.8), lambda: single_photon_state(4, 2.0)):
-        with pytest.raises(ConfigError, match="must be integers"):
+        with pytest.raises(ConfigError, match="must be an integer >= 1, got"):
             call()
 
 

@@ -302,7 +302,7 @@ def test_config_and_pair_rejections():
     for value in (True, "0.1", math.inf, math.nan, 10 ** 400):
         with pytest.raises(ConfigError, match="'J' must be a finite number"):
             config_and_pair({"n_sites": 3, "frequencies": [1, 1, 1], "J": value})
-        with pytest.raises(ConfigError, match="frequencies must be a list or array of numbers"):
+        with pytest.raises(ConfigError, match="frequencies must be finite numbers"):
             config_and_pair({"n_sites": 3, "frequencies": [1, value, 1], "J": 0.1})
     # no model reads a loss rate from the array config; loss enters as the
     # explicit gamma of the open-system calls
@@ -341,6 +341,6 @@ def test_config_and_pair_names_only_a_switching_pair():
                               "frequencies": {"preset": "switching", "m": 2, "n": 4}})
     np.testing.assert_array_equal(cfg.frequencies, switching_frequencies(1.0, 2, 4, 6))
     # switching_frequencies is the one check of a switching pair
-    with pytest.raises(ConfigError, match="^n must be an integer, got 4.0$"):
+    with pytest.raises(ConfigError, match="^n must be an integer >= 1, got 4.0$"):
         config_and_pair({"n_sites": 6, "J": 0.0013,
                          "frequencies": {"preset": "switching", "m": 2, "n": 4.0}})

@@ -491,5 +491,5 @@ def test_qubit_curve_rejects_unnormalized_state(plan_24):
     # an array or None is a config error, not a bare TypeError
     for alpha, beta in (("0.6", "0.8"), (True, False), (np.array([0.6]), 0.8),
                         (0.6, np.array([0.8])), (None, 1.0)):
-        with pytest.raises(ConfigError, match="qubit amplitudes must be numbers"):
+        with pytest.raises(ConfigError, match="qubit amplitudes must be two numbers or two"):
             qubit_fidelity_curve(plan_24, alpha, beta, [1.0])
