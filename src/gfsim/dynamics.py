@@ -227,15 +227,17 @@ def transfer_amplitude(initial_site: int, target_site, spec: SpectralDecompositi
                        t) -> np.ndarray | complex:
     """<target| e^{-iHt} |initial>, vectorized over t; sites are 1-based.
 
-    Sites are integers (not bools); target_site is one site, or a 1-d array
-    of sites that adds a trailing axis to the result, each column bitwise
-    equal to its single-target call. One target at a scalar t is a complex.
+    Sites are integers (not bools, also inside a sequence); target_site is
+    one site, or a 1-d sequence or array of sites that adds a trailing axis
+    to the result, each column bitwise equal to its single-target call. One
+    target at a scalar t is a complex.
     """
     n = spec.n_sites
     targets = low = high = target_site
     if not _is_integer(target_site):
         targets = np.asarray(target_site)
-        if targets.ndim != 1 or targets.dtype.kind not in "iu":
+        if (targets.ndim != 1 or targets.dtype.kind not in "iu"
+                or not all(map(_is_integer, target_site))):
             raise ConfigError("target_site must be a site or a 1-d sequence of "
                               f"sites, got {target_site!r}")
         low, high = targets.min(initial=1), targets.max(initial=1)

@@ -77,13 +77,14 @@ def _is_amplitude(value) -> bool:
 def _is_numeric(values, is_number=_is_real, kinds: str = "iuf", depth: int = 1) -> bool:
     """True for an ndarray of a dtype kind in kinds, on its dtype alone (shape
     and finiteness are the caller's to check), or for lists or tuples nested
-    depth deep (rows of a matrix at 2) of is_number values: a bool, string or
-    too deeply nested element fails here before numpy can cast it or raise."""
+    depth deep (rows of a matrix at 2, all of one shape) of is_number values:
+    a bool, string, ragged row or too deeply nested element fails here before
+    numpy can cast it or raise."""
     if isinstance(values, np.ndarray):
         return values.dtype.kind in kinds
     return isinstance(values, (list, tuple)) and all(
         _is_numeric(v, is_number, kinds, depth - 1) if depth > 1 else is_number(v)
-        for v in values)
+        for v in values) and (depth == 1 or len({np.shape(v) for v in values}) <= 1)
 
 
 def _real(value, name: str, low: float | None = None, strict: bool = False) -> float:
@@ -179,7 +180,8 @@ class HamiltonianMatrix:
 
     def __post_init__(self) -> None:
         if not _is_numeric(self.matrix, _is_amplitude, "iufc", depth=2):
-            raise ConfigError(f"Hamiltonian entries must be numbers, got {self.matrix!r}")
+            raise ConfigError(
+                f"Hamiltonian entries must be numbers in rows of one length, got {self.matrix!r}")
         h = np.asarray(self.matrix)
         if np.iscomplexobj(h) and np.any(h.imag):
             raise ConfigError("Hamiltonian must be real (a bond phase is a gauge)")

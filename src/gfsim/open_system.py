@@ -72,7 +72,8 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         if not _is_numeric(self.matrix, _is_amplitude, "iufc", depth=2):
-            raise ConfigError(f"density matrix entries must be numbers, got {self.matrix!r}")
+            raise ConfigError(
+                f"density matrix entries must be numbers in rows of one length, got {self.matrix!r}")
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
             raise ConfigError(f"density matrix must be square, got shape {rho.shape}")

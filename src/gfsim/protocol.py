@@ -144,23 +144,14 @@ class TransferPlan:
         return out
 
 
-def _chain_run(d, b2, sites):
-    """(d_k, squared bond to the previous site) along `sites`, a run of
-    chain sites listed from its far end inwards."""
-    run, prev = [], None
-    for k in sites:
-        run.append((d[k], 0.0 if prev is None else b2[min(k, prev)]))
-        prev = k
-    return run
-
-
 def _end_resolvent(x: float, run):
-    """Resolvent of a chain run (see _chain_run) at its inner end.
+    """Resolvent of a chain run at its inner end: the run is a list of (d_k,
+    squared bond to the previous site) from its far end inwards.
 
     Returns the diagonal element g of (x - H_run)^-1 at the last site, by
     the continued fraction g <- 1/(x - d_k - b^2 g), its x-derivative, the
     product of the partial fractions (which is 1/det(x - H_run)) and the
-    x-derivative of that product's log.
+    x-derivative of that product's log; an empty run gives 0, 0, 1, 0.
     """
     g = dg = dlog = 0.0
     inv_det = 1.0
@@ -173,12 +164,14 @@ def _end_resolvent(x: float, run):
     return g, dg, inv_det, dlog
 
 
-def _partitioned_doublet(shifted: np.ndarray, bonds: np.ndarray, lo: int, hi: int):
+def _partitioned_doublet(shifted: np.ndarray, bonds: list, lo: int, hi: int):
     """Doublet of a real tridiagonal chain by exact partitioning onto {lo, hi}.
 
     shifted is the diagonal in a frame where shifted[lo] = 0 (shifted[hi]
-    is then 0 up to the profile's rounding) and bonds[k] couples sites k
-    and k+1 (0-based). Each level x solves x = eig H_eff(x),
+    is then 0 up to the profile's rounding) and bonds is the padded chain
+    [0, J_1, ..., J_{N-1}, 0]: bonds[k] couples sites k-1 and k (0-based),
+    so the runs outside lo and hi are tied by a 0 bond when they are empty.
+    Each level x solves x = eig H_eff(x),
     H_eff = [[Sigma_m, V], [V, shifted[hi] + Sigma_n]], by fixed-point
     iteration from x = 0. The eigenvector is the 2x2 null vector c on
     {lo, hi} plus q = (x - H_QQ)^-1 H_QP c on the other sites, and
@@ -188,36 +181,31 @@ def _partitioned_doublet(shifted: np.ndarray, bonds: np.ndarray, lo: int, hi: in
     d = shifted.tolist()
     # squared as Python floats: the same bits as numpy's, and an overflow
     # to inf raises no warning
-    b2 = [b * b for b in bonds.tolist()]
-    n_sites = len(d)
-    left = _chain_run(d, b2, range(lo))
-    right = _chain_run(d, b2, range(n_sites - 1, hi, -1))
-    middle = _chain_run(d, b2, range(lo + 1, hi))
-    middle_back = _chain_run(d, b2, range(hi - 1, lo, -1))
-    bond_product = math.prod(bonds[lo:hi].tolist())
+    b2 = [b * b for b in bonds]
+
+    def run(sites):
+        """(d_k, squared bond to the previous site) along sites, a range
+        listed from the run's far end inwards; the far end has none."""
+        return [(d[k], b2[max(k, k - sites.step)] if k != sites.start else 0.0)
+                for k in sites]
+
+    left, right = run(range(lo)), run(range(len(d) - 1, hi, -1))
+    middle, middle_back = run(range(lo + 1, hi)), run(range(hi - 1, lo, -1))
+    # an adjacent pair has no middle run: its bond enters V alone
+    tie_middle, tie_back = (b2[hi], b2[lo + 1]) if middle else (0.0, 0.0)
+    bond_product = math.prod(bonds[lo + 1:hi + 1])
 
     def effective(x):
         """(Sigma_m, Sigma_n, V) at x and their x-derivatives."""
-        sigma_m = d_sigma_m = d_sigma_n = d_v = 0.0
-        sigma_n, v = d[hi], bond_product
-        if left:
-            g, dg, _, _ = _end_resolvent(x, left)
-            sigma_m += b2[lo - 1] * g
-            d_sigma_m += b2[lo - 1] * dg
-        if right:
-            g, dg, _, _ = _end_resolvent(x, right)
-            sigma_n += b2[hi] * g
-            d_sigma_n += b2[hi] * dg
-        if middle:
-            g, dg, inv_det, dlog = _end_resolvent(x, middle)
-            sigma_n += b2[hi - 1] * g
-            d_sigma_n += b2[hi - 1] * dg
-            g, dg, _, _ = _end_resolvent(x, middle_back)
-            sigma_m += b2[lo] * g
-            d_sigma_m += b2[lo] * dg
-            v *= inv_det
-            d_v = v * dlog
-        return (sigma_m, sigma_n, v), (d_sigma_m, d_sigma_n, d_v)
+        g_left, dg_left, _, _ = _end_resolvent(x, left)
+        g_right, dg_right, _, _ = _end_resolvent(x, right)
+        g_mid, dg_mid, inv_det, dlog = _end_resolvent(x, middle)
+        g_back, dg_back, _, _ = _end_resolvent(x, middle_back)
+        v = bond_product * inv_det
+        return ((0.0 + b2[lo] * g_left + tie_back * g_back,
+                 d[hi] + b2[hi + 1] * g_right + tie_middle * g_mid, v),
+                (0.0 + b2[lo] * dg_left + tie_back * dg_back,
+                 0.0 + b2[hi + 1] * dg_right + tie_middle * dg_mid, v * dlog))
 
     def level(branch):
         x = 0.0
@@ -275,7 +263,8 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
     base = float(template.frequencies[0])
     lo, hi = (m, n) if m < n else (n, m)
     freqs = switching_frequencies(base, lo, hi, template.n_sites)
-    bonds = build_couplings(template.coupling_scale, template.n_sites)
+    # the padded chain: 0 beyond each end, as the partition and ||H||_inf read it
+    bonds = [0.0, *build_couplings(template.coupling_scale, template.n_sites).tolist(), 0.0]
     omega = float(freqs[lo - 1])
     try:
         (x_hi, *top), (x_lo, *bottom) = _partitioned_doublet(freqs - omega, bonds,
@@ -305,8 +294,7 @@ def make_plan(template: ArrayConfig, m: int, n: int) -> TransferPlan:
         )
     # ||H||_inf bounds ||H||_2, so this errs on the side of refusing; row k
     # sums (|omega_k| + J_k) + J_{k-1} in that order
-    b = [0.0, *bonds.tolist(), 0.0]
-    h_norm = max((abs(w) + b[k + 1]) + b[k] for k, w in enumerate(freqs.tolist()))
+    h_norm = max((abs(w) + bonds[k + 1]) + bonds[k] for k, w in enumerate(freqs.tolist()))
     if x_hi - x_lo < _RESOLVABLE_FACTOR * _EPS * h_norm:
         raise DoubletNotResolvedError(
             f"doublet not resolved for {m} -> {n}: splitting {x_hi - x_lo:.3e} "

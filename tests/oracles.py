@@ -2,7 +2,8 @@
 can hold its results against an independent computation. lindblad_rhs
 writes the loss generator out term by term (integrate_master works per
 eigenmode); identify_doublet reads the doublet off the eigensolver
-(make_plan partitions the chain instead); phased_hamiltonian and
+(make_plan partitions the chain instead) and reference_doublet at 60 digits
+(mpmath, imported on call); phased_hamiltonian and
 complex_transfer_amplitude are the complex route with the bond phase inside
 H (the package keeps H real and puts the phase on the amplitude)."""
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from gfsim.dynamics import ExcitationState, SpectralDecomposition
 from gfsim.errors import ConfigError, DoubletNotResolvedError
-from gfsim.model import ArrayConfig, HamiltonianMatrix, build_couplings
+from gfsim.model import ArrayConfig, HamiltonianMatrix, build_couplings, build_hamiltonian
 from gfsim.open_system import DensityMatrix
 
 _PURITY_RESOLVED = 0.5
@@ -123,3 +124,30 @@ def identify_doublet(spec: SpectralDecomposition, m: int, n: int):
             "(coupling too large relative to the neighbour detunings)"
         )
     return float(spec.eigenvalues[idx_plus]), float(spec.eigenvalues[idx_minus]), purity
+
+
+def reference_doublet(config: ArrayConfig, m: int, n: int, dps: int = 60) -> dict:
+    """The m <-> n doublet of config's float64 Hamiltonian at dps digits.
+
+    Each entry of build_hamiltonian(config) is converted exactly to mpmath
+    and diagonalized with mpmath.eigsy; the doublet is the two eigenvectors
+    with the most weight on sites m and n (1-based), top and bottom by
+    eigenvalue. Returns what a plan measures, as dps-digit mpmath numbers:
+    theta = (lambda+ - lambda-)/2, transfer_time = pi/(2 theta), mean =
+    (lambda+ + lambda-)/2, purity (the smaller overlap of (|m>+-|n>)/sqrt2
+    with its level) and peak = (|v_m+ v_n+| + |v_m- v_n-|)^2; and sign, +1
+    when (|m>+|n>)/sqrt2 is the top level and -1 when the bottom.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        lam, vec = mpmath.eigsy(mpmath.matrix(build_hamiltonian(config).matrix.tolist()))
+        weight = {k: vec[m - 1, k] ** 2 + vec[n - 1, k] ** 2 for k in range(config.n_sites)}
+        bottom, top = sorted(sorted(weight, key=weight.get)[-2:], key=lambda k: lam[k])
+        (top_m, top_n), (bot_m, bot_n) = ((vec[m - 1, k], vec[n - 1, k]) for k in (top, bottom))
+        sign = 1 if top_m * top_n > 0 else -1
+        theta = (lam[top] - lam[bottom]) / 2
+        return dict(theta=theta, transfer_time=mpmath.pi / (2 * theta),
+                    mean=(lam[top] + lam[bottom]) / 2, sign=sign,
+                    purity=min((top_m + sign * top_n) ** 2, (bot_m - sign * bot_n) ** 2) / 2,
+                    peak=(abs(top_m * top_n) + abs(bot_m * bot_n)) ** 2)

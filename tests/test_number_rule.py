@@ -1,11 +1,12 @@
 """One number rule for every public argument: a bool or a numeric string is
-not a number, and neither is a list where one number belongs.
+not a number, and neither is a list where one number belongs, nor a matrix
+with rows of unequal length.
 
 Each row names an entry point and its argument, a call that takes one value
 there, a value the call accepts, and the non-numbers it refuses. Every
-refused value below was scored as a number before the rule reached its
-entry point, so each row shows a refusal that is new; a later public
-argument is one more row.
+refused value below was scored as a number, or reached numpy, before the
+rule reached its entry point, so each row shows a refusal that is new; a
+later public argument is one more row.
 """
 
 import numpy as np
@@ -76,6 +77,16 @@ REFUSALS = {
          np.array([["1", "0"], ["0", "0"]])]),
     "ExcitationState.amplitudes": (ExcitationState, [0.0, 1.0], "amplitudes",
                                    [["0", "1"], [False, True], np.array([False, True])]),
+    # a sequence of sites holds integers only; numpy casts a bool among
+    # them to site 1
+    "transfer_amplitude.target_site": (
+        lambda x: transfer_amplitude(1, x, SPEC, 1.0), range(1, 6), "target_site",
+        [[True, 2], (3, True), [np.True_, 2]]),
+    # a ragged matrix is refused before numpy raises a bare ValueError on it
+    "HamiltonianMatrix.rows": (HamiltonianMatrix, [[1.0, 0.1], [0.1, 1.0]],
+                               "Hamiltonian entries", [[[1.0, 0.1], [0.1]]]),
+    "DensityMatrix.rows": (DensityMatrix, [[1.0, 0.0], [0.0, 0.0]], "density matrix entries",
+                           [[[1.0, 0.0], [0.0]]]),
 }
 
 CASES = [(entry, value) for entry, row in REFUSALS.items() for value in row[3]]

@@ -1,9 +1,10 @@
 """Transfer-plan construction, the two-level reduction, and its closed form.
 
 Frozen plan numbers are 60-digit mpmath values for the float64 Hamiltonian
-the plan runs on (recipe above FROZEN_PLANS), pasted in as constants; they
-guard against silent regressions in the doublet route, sign bookkeeping,
-and phase formulas, and hold on any LAPACK build.
+the plan runs on (oracles.reference_doublet, named above FROZEN_PLANS),
+pasted in as constants; they guard against silent regressions in the
+doublet route, sign bookkeeping, and phase formulas, and hold on any LAPACK
+build.
 """
 
 import json
@@ -15,19 +16,20 @@ import numpy as np
 import pytest
 
 from gfsim.errors import ConfigError, DoubletNotResolvedError, RegimeError
-from gfsim.model import (ArrayConfig, build_hamiltonian, config_and_pair, config_to_dict,
-                         switching_frequencies, wrap_phase)
+from gfsim.model import (ArrayConfig, build_couplings, build_hamiltonian, config_and_pair,
+                         config_to_dict, switching_frequencies, wrap_phase)
 from gfsim.dynamics import decompose, transfer_probability
 from gfsim.protocol import (
     DoubletPurityWarning,
     TransferPlan,
+    _partitioned_doublet,
     make_plan,
     plan_config,
     qubit_fidelity_curve,
 )
 
 from conftest import resonant_template
-from oracles import identify_doublet
+from oracles import identify_doublet, reference_doublet
 
 
 def stored_fields(doc):
@@ -38,13 +40,10 @@ def stored_fields(doc):
     return stored
 
 
-# template: six resonant cavities at omega = 1, J = 0.0013. Recipe: build the
-# float64 matrix with build_hamiltonian(ArrayConfig(6, switching_frequencies(
-# 1.0, m, n, 6), 0.0013)), convert each entry exactly to mpmath at 60 digits,
-# mpmath.eigsy; the doublet is the pair of eigenvectors with the largest
-# overlaps with (|m> +- |n>)/sqrt2. theta = (lambda+ - lambda-)/2,
-# t* = pi/(2 theta), mean = (lambda+ + lambda-)/2, purity the smaller of the
-# two overlaps, peak = (|v_m+ v_n+| + |v_m- v_n-|)^2. Rounded to 17 digits.
+# template: six resonant cavities at omega = 1, J = 0.0013. Recipe:
+# oracles.reference_doublet(ArrayConfig(6, switching_frequencies(1.0, m, n,
+# 6), 0.0013), m, n), the 60-digit doublet of the float64 matrix the plan
+# runs on; each value printed with mpmath.nstr(value, 17).
 FROZEN_PLANS = {
     (1, 3): dict(theta=4.7799556757411613e-06, transfer_time=328621.52566955238,
                  mean=0.99999662008567986, sign=-1,
@@ -148,6 +147,27 @@ def test_identify_doublet_overlap_contract(template):
     assert lam_p < lam_m
     assert abs(lam_m - lam_p) == pytest.approx(
         2 * FROZEN_PLANS[(2, 4)]["theta"], rel=1e-9)
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 7) for n in range(m + 1, 7)])
+def test_partition_matches_60_digit_reference(m, n):
+    # every N = 6, J = 0.0013 pair, chain ends and adjacent pairs included,
+    # refused pairs too: the partition's levels before omega_m is added back
+    # and lambda+- are rounded, against the doublet of the same float64 matrix
+    # at 60 digits. The README's numerical notes state these bounds.
+    pytest.importorskip("mpmath")
+    freqs = switching_frequencies(1.0, m, n, 6)
+    bonds = [0.0, *build_couplings(0.0013, 6).tolist(), 0.0]
+    (x_hi, *top), (x_lo, *bottom) = _partitioned_doublet(freqs - freqs[m - 1], bonds,
+                                                         m - 1, n - 1)
+    sign = 1 if top[0] * top[1] > 0.0 else -1
+    ref = reference_doublet(ArrayConfig(6, freqs, 0.0013), m, n)
+    assert sign == ref["sign"]
+    assert abs((x_hi - x_lo) / 2 / ref["theta"] - 1) <= 1e-12
+    assert abs(min((top[0] + sign * top[1]) ** 2, (bottom[0] - sign * bottom[1]) ** 2) / 2
+               - ref["purity"]) <= 2e-11
+    assert abs((abs(top[0] * top[1]) + abs(bottom[0] * bottom[1])) ** 2
+               - ref["peak"]) <= 2e-11
 
 
 def test_doublet_refusals():
