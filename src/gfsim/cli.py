@@ -2,9 +2,9 @@
 CSV tables and JSON plan documents with a full provenance header.
 
 Commands: spectrum, resonant-walk, plan, transfer, qubit, dissipation. One
-table, _COMMANDS, gives each its handler, help and flags. Presets give their
-sweep grids as the text of a flag (--times or --grid), so a preset's grid
-passes the same checks as a user's. Each table starts with a one-line JSON
+table, _COMMANDS, gives each its handler, help and flags. Every default
+grid, a preset's or a plan's, is the text of a flag (--times or --grid), so
+it passes the same checks as a user's. Each table starts with a one-line JSON
 metadata comment, and each plan document holds a metadata object, carrying
 the resolved config, seed, tool version and every assumed parameter, so any
 file can be regenerated from its own header. Outputs contain no
@@ -126,28 +126,24 @@ class ResolvedExperiment:
 
 def _atomic_write(path: str, text: str) -> None:
     # the temp file is created 0o666 less the umask, as open() would create
-    # the target; mkstemp's fixed 0o600 would survive the rename
-    parent = os.path.dirname(os.path.abspath(path))
-    while True:
-        tmp = os.path.join(parent, f".gfsim-{os.urandom(8).hex()}.tmp")
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    # the target; mkstemp's fixed 0o600 would survive the rename. A failed
+    # create (a name collision too) removes nothing; after it, any exception
+    # removes the temp file and leaves the target as it was
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".gfsim-{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
         raise
 
 
@@ -171,20 +167,18 @@ def write_table(path: str | None, metadata: dict, columns: dict) -> None:
     1-d array or list, all of one length, and the metadata goes first as a
     "# {json}" line.
 
-    Cells are the Python values of the columns, written as str(cell), the
-    shortest round-trip text, so integer columns stay integers. A column is
-    formatted by one repr of its list, split at ", ": each item of
-    repr(list) is repr(cell), which equals str(cell) for every int and float
-    (nan and inf included). Every cell is a number, so none holds a comma
-    and no cell is quoted; a column of any other kind is refused.
+    Each cell is repr of its Python value (the column's tolist()): the
+    shortest round-trip text of a float, nan and inf included, and the digits
+    of an int, so integer columns stay integers. Every cell is a number, so
+    none holds a comma and no cell is quoted; a column of any other kind is
+    refused.
     """
     texts = []
     for name, column in columns.items():
         a = np.asarray(column)
         if a.dtype.kind not in "iuf":
             raise ConfigError(f"table column {name!r} is not numeric ({a.dtype})")
-        cells = a.tolist()
-        texts.append(repr(cells)[1:-1].split(", ") if cells else [])
+        texts.append(map(repr, a.tolist()))
     lines = ["# " + _dumps(metadata), ",".join(columns)]
     lines += map(",".join, zip(*texts))
     _emit(path, "\n".join(lines) + "\n")
@@ -314,7 +308,7 @@ def _base_metadata(exp: ResolvedExperiment) -> dict:
 
 def _grid(exp: ResolvedExperiment, default=None, log=False) -> np.ndarray:
     """The sweep grid: --times, else --grid, else the preset's grid, else
-    `default` (--grid text, an array, or None when a grid is required).
+    `default` (--grid text, or None when a grid is required).
     Times are omega_1*t >= 0; with `log`, the grid is log-spaced gamma/J > 0."""
     times, grid = getattr(exp.args, "times", None), exp.args.grid
     if times is not None and grid is not None:
@@ -325,8 +319,6 @@ def _grid(exp: ResolvedExperiment, default=None, log=False) -> np.ndarray:
         return np.asarray(_parse_times(times), dtype=float)
     if grid is None:
         raise ConfigError("a time grid is required: pass --grid start:end:n or --times")
-    if not isinstance(grid, str):
-        return grid
     start, end, count = _parse_grid(grid)
     if not log:
         if start < 0:
@@ -361,12 +353,13 @@ def _capture_plan(template: ArrayConfig, m: int, n: int, meta: dict):
 
 def _planned_sweep(exp: ResolvedExperiment, meta: dict):
     """The plan for the checked pair and its sweep (the flags' or preset's
-    grid, else 2001 points over [0, 2t*]), both recorded in meta."""
+    grid, else the --grid text 0:2t*:2001, checked like a user's grid), both
+    recorded in meta. repr round-trips, so the grid ends at 2t* exactly."""
     plan = _capture_plan(exp.config, *exp.pair, meta)
     t_star = plan.transfer_time * exp.base
     meta["plan"] = plan.to_dict()
     meta["transfer_time_omega1_t"] = t_star
-    return plan, _grid(exp, np.linspace(0.0, 2.0 * t_star, _DEFAULT_SWEEP_POINTS))
+    return plan, _grid(exp, f"0:{2.0 * t_star!r}:{_DEFAULT_SWEEP_POINTS}")
 
 
 def cmd_spectrum(exp: ResolvedExperiment) -> int:

@@ -139,8 +139,8 @@ def test_text_column_is_refused(capsys):
 
 
 def test_numeric_csv_cells_are_str_of_each_cell(capsys):
-    # each numeric column is formatted by one repr of its list; every cell
-    # must still read as str() of its own Python value
+    # each cell is written as repr of its own Python value, which must read
+    # as str() of that value for every int and float
     floats = [-0.0, 5e-324, 1e-300, 1e16, 123456789.12345679,
               float("nan"), float("inf"), -float("inf")]
     columns = {
@@ -218,6 +218,11 @@ def test_transfer_preset_writes_one_file(tmp_path):
     assert meta["peak_time_relative_offset"] <= 0.02
     expected = make_plan(config_and_pair(meta["config"])[0], 2, 4)
     assert meta["plan"] == expected.to_dict()
+    # the default sweep goes through --grid's reader as text, and repr of
+    # 2t* round-trips, so the grid is linspace(0, 2t*, 2001) bit for bit
+    t_star = meta["transfer_time_omega1_t"]
+    grid = np.array([row[0] for row in rows])
+    assert grid.tobytes() == np.linspace(0.0, 2.0 * t_star, 2001).tobytes()
 
 
 def test_transfer_direct_sweep_requires_grid(tmp_path):
@@ -606,3 +611,38 @@ def test_unwritable_output_path(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run_cli(["spectrum", "--preset", "fig2",
                     "--out", str(missing_dir)]) == 2
+
+
+@pytest.mark.parametrize("error, code", [(KeyboardInterrupt, None),
+                                         (PermissionError, 2)])
+def test_failed_rename_removes_the_temp_file(tmp_path, monkeypatch, error, code):
+    # any exception after the temp file is created removes it and leaves the
+    # target's old bytes; an OSError exits 2 and anything else propagates
+    out = tmp_path / "fig2.csv"
+    out.write_bytes(b"old bytes")
+
+    def refuse(src, dst):
+        raise error("rename refused")
+
+    monkeypatch.setattr("gfsim.cli.os.replace", refuse)
+    argv = ["spectrum", "--preset", "fig2", "--out", str(out)]
+    if code is None:
+        with pytest.raises(error):
+            run_cli(argv)
+    else:
+        assert run_cli(argv) == code
+    assert out.read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["fig2.csv"]
+
+
+def test_temp_name_collision_exits_2(tmp_path, monkeypatch, capsys):
+    # the temp name is drawn once: a collision is a failed create, which
+    # exits 2 and removes nothing, the file in the way included
+    monkeypatch.setattr("gfsim.cli.os.urandom", lambda size: bytes(size))
+    taken = tmp_path / f".gfsim-{bytes(8).hex()}.tmp"
+    taken.write_bytes(b"not ours")
+    out = tmp_path / "fig2.csv"
+    assert run_cli(["spectrum", "--preset", "fig2", "--out", str(out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert taken.read_bytes() == b"not ours"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name]

@@ -22,6 +22,7 @@ from gfsim.dynamics import (
     transfer_amplitude,
     transfer_probability,
 )
+from gfsim.protocol import make_plan, qubit_fidelity_curve
 
 from conftest import brute_force_evolve, read_csv_output
 from oracles import complex_transfer_amplitude, gauge, phased_hamiltonian
@@ -249,6 +250,14 @@ def test_transfer_probability_rejects_bad_sites():
         transfer_probability(1, 5, spec, 1.0)
     with pytest.raises(ConfigError, match="times must be finite"):
         transfer_amplitude(1, 3, spec, [0.0, math.inf])
+    # an array passes the number rule by dtype alone, so its finiteness is
+    # the kernel's own check, reached through the amplitude and the qubit curve
+    plan = make_plan(ArrayConfig(6, switching_frequencies(1.0, 2, 4, 6), 0.0013), 2, 4)
+    for times in (np.array([0.0, np.inf]), np.array([np.nan])):
+        with pytest.raises(ConfigError, match="^times must be finite$"):
+            transfer_amplitude(1, 3, spec, times)
+        with pytest.raises(ConfigError, match="^times must be finite$"):
+            qubit_fidelity_curve(plan, 0.6, 0.8, times)
     # one target or a 1-d sequence of sites in [1, N], nothing else
     for target in (0, 5, [1, 0], [2, 5], np.array([[1, 2], [3, 4]]), [1.0, 2.0]):
         with pytest.raises(ConfigError):
